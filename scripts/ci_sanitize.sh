@@ -55,11 +55,13 @@ FILTER+=':Cancellation*:Deadline*:ProtocolFuzz*'
 # via observe_run (TSan checks the mutex discipline); partition diagnostics
 # feed the planner's analyze stage.
 FILTER+=':AdaptivePlanner*:CostModel*:GrowthFactor*:SchemeAuto*:PartitionStats*'
-# Streaming skylines (ISSUE 9): exact maintenance under deletes/TTL
-# (MaintainedSkyline), windowed eviction, the randomized insert/delete/TTL
-# sweep, and — the part that exists FOR TSan — standing subscriptions racing
-# apply_batch publishers and server drain (Subscription*).
-FILTER+=':MaintainedSkyline*:SlidingWindow*:StreamSweep*:Subscription*:NotifyQueue*'
+# Streaming skylines: exact maintenance under deletes/TTL/windows
+# (MaintainedSkyline), the randomized insert/delete/TTL sweep, and — the
+# part that exists FOR TSan — standing subscriptions racing apply_batch
+# publishers and server drain (Subscription*). The service selector keeps
+# one MaintainedSkyline per partition, so its add/remove suites ride along.
+FILTER+=':MaintainedSkyline*:*StreamSweep*:Subscription*:NotifyQueue*'
+FILTER+=':SkylineServiceSelector*:RemoveService*:SelectorWith*'
 # Out-of-core block storage (ISSUE 10): mmap'd block reads feeding the
 # threaded pipeline (map tasks touch disjoint blocks concurrently; the
 # verify-once checksum flags are the TSan target), the DatasetSource seam,

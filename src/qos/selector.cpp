@@ -52,19 +52,17 @@ void SkylineServiceSelector::full_recompute() {
   last_run_ = core::run_mr_skyline(points, config_);
   global_ = last_run_.skyline;
 
-  // Seed the incremental maintainers with the run's partitioner state and
-  // per-partition local skylines.
+  // Seed the incremental maintainers: refit the run's partitioner and
+  // bulk-load every partition's full point set.
   part::PartitionerOptions popts;
   popts.num_partitions = config_.effective_partitions();
   popts.split_dim = config_.split_dim;
   partitioner_ = part::make_partitioner(config_.scheme, popts);
   partitioner_->fit(points);
   local_.clear();
-  local_.reserve(last_run_.local_skylines.size());
-  for (const auto& ls : last_run_.local_skylines) {
-    local_.emplace_back(skyline::IncrementalSkyline(ls));
+  for (const data::PointSet& part : part::split_by_partition(*partitioner_, points)) {
+    local_.emplace_back(part);
   }
-  partition_data_ = part::split_by_partition(*partitioner_, points);
   incremental_tests_ = 0;
   refresh_service_view();
   computed_ = true;
@@ -73,7 +71,7 @@ void SkylineServiceSelector::full_recompute() {
 void SkylineServiceSelector::merge_locals() {
   data::PointSet merged(catalog_.schema().size());
   for (const auto& maintainer : local_) {
-    const auto& sky = maintainer.skyline();
+    const data::PointSet sky = maintainer.skyline_points();
     for (std::size_t i = 0; i < sky.size(); ++i) merged.push_back(sky.point(i), sky.id(i));
   }
   skyline::SkylineStats stats;
@@ -101,7 +99,6 @@ bool SkylineServiceSelector::add_service(std::string name, std::vector<double> q
   // Paper §II: route the newcomer to its partition's local skyline only.
   const std::size_t partition = partitioner_->assign(oriented);
   MRSKY_ASSERT(partition < local_.size(), "partition index out of range");
-  partition_data_[partition].push_back(oriented, id);
   const std::uint64_t before = local_[partition].stats().dominance_tests;
   const bool entered_local = local_[partition].insert(oriented, id);
   incremental_tests_ += local_[partition].stats().dominance_tests - before;
@@ -144,40 +141,13 @@ bool SkylineServiceSelector::remove_service(data::PointId id) {
   catalog_.remove(id);
 
   const std::size_t partition = partitioner_->assign(oriented);
-  MRSKY_ASSERT(partition < partition_data_.size(), "partition index out of range");
-
-  // Drop the victim from its partition's retained data.
-  const data::PointSet& old_data = partition_data_[partition];
-  data::PointSet remaining(old_data.dim());
-  remaining.reserve(old_data.size());
-  for (std::size_t i = 0; i < old_data.size(); ++i) {
-    if (old_data.id(i) != id) remaining.push_back(old_data.point(i), old_data.id(i));
-  }
-  partition_data_[partition] = std::move(remaining);
-
-  // Recompute only that partition's local skyline (points the victim used to
-  // dominate may resurface), then re-merge all local skylines.
-  skyline::SkylineStats stats;
-  const data::PointSet fresh_local =
-      skyline::bnl_skyline(partition_data_[partition], &stats);
-  incremental_tests_ += stats.dominance_tests;
-  local_[partition] = skyline::IncrementalSkyline(fresh_local);
-
-  // MR-Grid edge case: a partition skipped by §III-B pruning has an empty
-  // local skyline because some *other* cell's points dominated all of it.
-  // If the deletion just emptied the victim's cell, that guarantee may have
-  // died with it — revive any pruned-but-populated partition.
-  if (partition_data_[partition].empty()) {
-    for (std::size_t p = 0; p < local_.size(); ++p) {
-      if (local_[p].size() == 0 && !partition_data_[p].empty()) {
-        skyline::SkylineStats revive_stats;
-        local_[p] = skyline::IncrementalSkyline(
-            skyline::bnl_skyline(partition_data_[p], &revive_stats));
-        incremental_tests_ += revive_stats.dominance_tests;
-      }
-    }
-  }
-  merge_locals();
+  MRSKY_ASSERT(partition < local_.size(), "partition index out of range");
+  const std::uint64_t before = local_[partition].stats().dominance_tests;
+  const skyline::MaintainedSkyline::EraseResult erased = local_[partition].erase(id);
+  incremental_tests_ += local_[partition].stats().dominance_tests - before;
+  MRSKY_ASSERT(erased.erased, "catalogued service missing from its partition");
+  // A non-member was on no local skyline, so the global skyline is unchanged.
+  if (erased.was_skyline) merge_locals();
   return true;
 }
 

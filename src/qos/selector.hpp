@@ -14,7 +14,7 @@
 #include "src/core/mr_skyline.hpp"
 #include "src/partition/partitioner.hpp"
 #include "src/qos/catalog.hpp"
-#include "src/skyline/incremental.hpp"
+#include "src/skyline/maintained.hpp"
 
 namespace mrsky::qos {
 
@@ -58,11 +58,12 @@ class SkylineServiceSelector {
   [[nodiscard]] std::vector<WebService> skyline_within(const QosConstraints& constraints) const;
 
   /// Deregisters a service (provider withdrawal). Removal can resurrect
-  /// points the victim used to dominate, so the selector keeps each
-  /// partition's full point set and recomputes only the victim's partition
-  /// local skyline before re-merging — the deletion analogue of the paper's
-  /// "compare only within the subdivided group" argument. Returns false when
-  /// the id is unknown.
+  /// points the victim used to dominate, so each partition keeps its full
+  /// point set in a skyline::MaintainedSkyline: the erase promotes exactly
+  /// the victim's exclusive dominees inside its partition, and the global
+  /// merge re-runs only when the victim was a local skyline member — the
+  /// deletion analogue of the paper's "compare only within the subdivided
+  /// group" argument. Returns false when the id is unknown.
   bool remove_service(data::PointId id);
 
   [[nodiscard]] const ServiceCatalog& catalog() const noexcept { return catalog_; }
@@ -70,7 +71,8 @@ class SkylineServiceSelector {
   /// Metrics of the last full MapReduce run (empty before the first run).
   [[nodiscard]] const core::MRSkylineResult& last_run() const;
 
-  /// Dominance tests spent on incremental maintenance since the last full run.
+  /// Dominance tests spent on incremental maintenance since the last full run
+  /// (the per-partition bulk load that follows the run is not counted).
   [[nodiscard]] std::uint64_t incremental_dominance_tests() const noexcept {
     return incremental_tests_;
   }
@@ -83,9 +85,11 @@ class SkylineServiceSelector {
   ServiceCatalog catalog_;
   core::MRSkylineConfig config_;
   part::PartitionerPtr partitioner_;
-  std::vector<skyline::IncrementalSkyline> local_;  ///< per-partition maintainers
-  std::vector<data::PointSet> partition_data_;      ///< full per-partition data (deletions)
-  data::PointSet global_;                           ///< oriented global skyline
+  /// Per-partition live points and exact local skylines. Every partition
+  /// holds its true local skyline, including partitions the run's MR-Grid
+  /// pruning skipped.
+  std::vector<skyline::MaintainedSkyline> local_;
+  data::PointSet global_;  ///< oriented global skyline
   std::vector<WebService> skyline_services_;
   core::MRSkylineResult last_run_;
   std::uint64_t incremental_tests_ = 0;

@@ -177,17 +177,10 @@ std::string Session::run_insert_file(const std::string& path) {
 }
 
 std::string Session::run_insert(const data::PointSet& points, std::int64_t ttl_ticks) {
-  std::uint64_t version = 0;
-  if (ttl_ticks > 0) {
-    // TTL rows must go through the streaming path: insert_batch has no way to
-    // carry per-row expiries.
-    service::MutationBatch batch;
-    batch.inserts = points;
-    batch.ttl_ticks.assign(points.size(), ttl_ticks);
-    version = engine_.apply_batch(batch).snapshot->version;
-  } else {
-    version = engine_.insert_batch(points);
-  }
+  service::MutationBatch batch;
+  batch.inserts = points;
+  if (ttl_ticks > 0) batch.ttl_ticks.assign(points.size(), ttl_ticks);
+  const std::uint64_t version = engine_.apply_batch(batch).snapshot->version;
   ++metrics_.inserts;
   metrics_.points_inserted += points.size();
   metrics_.last_version = std::max(metrics_.last_version, version);

@@ -17,8 +17,8 @@ namespace mrsky::service {
 namespace {
 
 /// Ascending-id order: the engine's canonical result form. Stable on id ties
-/// (duplicate ids only arise from hand-built datasets), so the output is a
-/// pure function of the input set.
+/// (duplicate ids only arise from hand-built datasets, and no write accepts
+/// them), so the output is a pure function of the input set.
 data::PointSet canonical_by_id(const data::PointSet& ps) {
   std::vector<std::size_t> order(ps.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -281,8 +281,6 @@ void QueryEngine::publish_full_skyline(const EngineSnapshot& snap, const data::P
   std::lock_guard<std::mutex> write_lock(write_mutex_);
   const EngineSnapshotPtr current = snapshot();
   if (current->version != snap.version || current->full_skyline != nullptr) return;
-  fold_.emplace(sky);
-  fold_version_ = snap.version;
   auto next = std::make_shared<EngineSnapshot>();
   next->version = snap.version;
   next->dataset = current->dataset;
@@ -298,9 +296,9 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
       Overloaded{
           [&](const SkylineQuery&) {
             if (snap.full_skyline != nullptr) {
-              // The pinned snapshot carries a current skyline (insert-time
-              // fold or an earlier pipeline run, with the cache entry evicted
-              // or caching off): serve it directly.
+              // The pinned snapshot carries a current skyline (maintained by
+              // a write or from an earlier pipeline run, with the cache entry
+              // evicted or caching off): serve it directly.
               counters_.incremental_serves.fetch_add(1, std::memory_order_relaxed);
               result.points = *snap.full_skyline;
               return;
@@ -313,7 +311,7 @@ QueryResult QueryEngine::compute(const EngineSnapshot& snap, const Query& query,
                 std::to_string(cfg.fit_sample_seed) + "/full";
             result.points = pipeline_skyline(dataset, cfg, fit_key, result, cancel);
             // A query that was cancelled between task-loop polls may still
-            // hold a complete skyline; it must NOT become the resident fold —
+            // hold a complete skyline; it must NOT be published —
             // the caller sees the typed abort, so nothing it produced may be
             // observable (decision 13).
             cancel.throw_if_stopped("full-skyline publication");
@@ -440,52 +438,14 @@ std::vector<QueryResult> QueryEngine::execute_batch(std::span<const Query> queri
 }
 
 std::uint64_t QueryEngine::insert_batch(const data::PointSet& points) {
-  // In streaming mode every mutation goes through apply_batch, so a plain
-  // insert still respects windows/TTL and publishes a delta to subscribers.
-  if (streaming()) {
-    MutationBatch batch;
-    batch.inserts = points;
-    return apply_batch(batch).snapshot->version;
+  if (points.empty()) {
+    // No tick, no version; apply_batch checks the width of non-empty batches.
+    MRSKY_REQUIRE(points.dim() == snapshot()->dataset->dim(), "insert_batch dimension mismatch");
+    return version();
   }
-  // Writers serialise here; readers keep serving their pinned snapshots and
-  // only observe the insert at the final pointer swap.
-  std::lock_guard<std::mutex> write_lock(write_mutex_);
-  const EngineSnapshotPtr old = snapshot();
-  MRSKY_REQUIRE(points.dim() == old->dataset->dim(),
-                "insert_batch dimension mismatch: batch has " + std::to_string(points.dim()) +
-                    " attributes, dataset has " + std::to_string(old->dataset->dim()));
-  if (points.empty()) return old->version;
-
-  common::ScopedSpan span(options_.trace, "insert-batch", "service");
-  span.arg("points", points.size());
-  span.arg("version", old->version + 1);
-  counters_.inserts.fetch_add(1, std::memory_order_relaxed);
-  counters_.points_inserted.fetch_add(points.size(), std::memory_order_relaxed);
-
-  const bool fold = fold_.has_value() && fold_version_ == old->version;
-  auto grown = std::make_shared<data::PointSet>(*old->dataset);
-  grown->reserve(grown->size() + points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const data::PointId id = next_id_++;
-    grown->push_back(points.point(i), id);
-    if (fold) fold_->insert(points.point(i), id);
-  }
-
-  auto next = std::make_shared<EngineSnapshot>();
-  next->version = old->version + 1;
-  next->dataset = std::move(grown);
-  if (fold) {
-    fold_version_ = next->version;
-    next->full_skyline =
-        std::make_shared<const data::PointSet>(canonical_by_id(fold_->skyline()));
-    span.arg("skyline_points", next->full_skyline->size());
-  } else {
-    fold_.reset();
-  }
-  const EngineSnapshotPtr published = next;
-  set_snapshot(std::move(next));
-  purge_derived_state(published);
-  return published->version;
+  MutationBatch batch;
+  batch.inserts = points;
+  return apply_batch(batch).snapshot->version;
 }
 
 void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
@@ -521,13 +481,16 @@ void QueryEngine::purge_derived_state(const EngineSnapshotPtr& published) {
   }
 }
 
-void QueryEngine::engage_streaming(const data::PointSet& dataset) {
-  maintained_ = std::make_unique<skyline::MaintainedSkyline>(dataset);
-  for (data::PointId id : dataset.ids()) arrival_order_.push_back(id);
-  // The IncrementalSkyline fold cannot process deletions; the maintained
-  // structure replaces it for good.
-  fold_.reset();
-  streaming_.store(true, std::memory_order_release);
+std::shared_ptr<const data::PointSet> QueryEngine::engage_maintained(
+    const std::shared_ptr<const data::PointSet>& rows) {
+  const std::span<const data::PointId> arrivals = rows->ids();
+  std::shared_ptr<const data::PointSet> sorted = rows;
+  if (!std::is_sorted(arrivals.begin(), arrivals.end())) {
+    sorted = std::make_shared<const data::PointSet>(canonical_by_id(*rows));
+  }
+  maintained_ = std::make_unique<skyline::MaintainedSkyline>(*sorted);
+  arrival_order_.assign(arrivals.begin(), arrivals.end());
+  return sorted;
 }
 
 void QueryEngine::publish_delta(const StreamDelta& delta) {
@@ -559,7 +522,8 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
                     std::to_string(batch.ttl_ticks.size()) + " ttls for " +
                     std::to_string(batch.inserts.size()) + " inserts)");
 
-  if (maintained_ == nullptr) engage_streaming(*old->dataset);
+  const std::shared_ptr<const data::PointSet> prev_rows =
+      maintained_ == nullptr ? engage_maintained(old->dataset) : old->dataset;
   ++tick_;
 
   common::ScopedSpan span(options_.trace, "apply-batch", "service");
@@ -596,7 +560,7 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
     }
   }
 
-  // 3. Inserts, under fresh engine ids (insert_batch's contract).
+  // 3. Inserts, under fresh engine ids.
   for (std::size_t i = 0; i < batch.inserts.size(); ++i) {
     const data::PointId id = next_id_++;
     (void)maintained_->insert(batch.inserts.point(i), id);
@@ -621,15 +585,15 @@ ApplyResult QueryEngine::apply_batch(const MutationBatch& batch) {
     }
   }
 
-  // Publish: streaming snapshots canonicalise the dataset to ascending-id
-  // order and always carry the exact full skyline. The previous snapshot is
-  // already ascending and fresh ids sort after every existing one, so the
-  // next dataset is one linear merge-skip pass over contiguous rows — NOT a
-  // re-canonicalisation of the whole live set from the hash index, which
-  // would make every tick pay an O(n log n) scatter-sort for a handful of
-  // mutations.
+  // Publish: written snapshots keep the dataset in ascending-id order and
+  // always carry the exact full skyline. The previous rows are ascending
+  // (engage_maintained sorted them once) and fresh ids sort after every
+  // existing one, so the next dataset is one linear merge-skip pass over
+  // contiguous rows — NOT a re-canonicalisation of the whole live set from
+  // the hash index, which would make every tick pay an O(n log n)
+  // scatter-sort for a handful of mutations.
   std::sort(removed_ids.begin(), removed_ids.end());
-  const data::PointSet& prev = *old->dataset;
+  const data::PointSet& prev = *prev_rows;
   auto live = std::make_shared<data::PointSet>(prev.dim());
   live->reserve(prev.size() + new_ids.size());
   std::size_t ri = 0;

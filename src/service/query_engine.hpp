@@ -11,35 +11,36 @@
 //  * the dataset is loaded once and owned by the engine;
 //  * one persistent common::ThreadPool backs every kThreads pipeline run;
 //  * partition fits are memoised per (version, scheme, partitions,
-//    fit-sample[, attribute-subset]) key and reused until an insert changes
+//    fit-sample[, attribute-subset]) key and reused until a write changes
 //    the data;
 //  * under scheme=auto, the adaptive plan (core::AdaptivePlanner) is memoised
 //    per dataset version the same way — planned once, reused by every query
-//    at that version, invalidated by insert_batch;
+//    at that version, invalidated by a write;
 //  * results are kept in an LRU cache keyed by the query's canonical
 //    signature plus the dataset version, so a repeated query is a lookup;
-//  * insert_batch() folds new points into the resident full skyline through
-//    skyline::IncrementalSkyline (no pipeline re-run) and publishes a new
-//    snapshot, which invalidates exactly the derived (subspace / k-skyband /
+//  * every write goes through apply_batch (insert_batch is its inserts-only
+//    form): the exact skyline::MaintainedSkyline keeps the full skyline
+//    current without a pipeline re-run, and each published snapshot carries
+//    it, which invalidates exactly the derived (subspace / k-skyband /
 //    representative / top-k) entries.
 //
 // Result canonicalisation: skyline, subspace and k-skyband results are
 // returned in ascending-id order, so the engine's answer for a given
 // (query, dataset version) is bitwise reproducible regardless of which path
-// (pipeline, incremental fold, cache) produced it. Representative picks stay
-// in greedy pick order (aligned with their coverage counts) and rankings in
-// score order — both deterministic.
+// (pipeline, maintained structure, cache) produced it. Representative picks
+// stay in greedy pick order (aligned with their coverage counts) and rankings
+// in score order — both deterministic.
 //
 // Concurrency contract (MVCC snapshot reads): execute(), execute_batch(),
-// insert_batch() and every accessor may be called from any number of threads
+// the writers and every accessor may be called from any number of threads
 // concurrently. Each execute() pins one immutable EngineSnapshot — the
 // (dataset, full skyline, version) triple — for its whole run, so a reader is
-// never affected by a concurrent insert; its answer is bitwise-exact for the
-// version it reports in QueryMetrics::dataset_version. insert_batch() builds
+// never affected by a concurrent write; its answer is bitwise-exact for the
+// version it reports in QueryMetrics::dataset_version. apply_batch() builds
 // the *next* snapshot on the side (writers serialise on one mutex) and
 // publishes it with a pointer swap; readers never block on a writer beyond
 // that swap. Partition fits are held by shared_ptr so an in-flight pipeline
-// keeps its fit alive across an insert that retires it, and the result
+// keeps its fit alive across a write that retires it, and the result
 // cache's recency list is guarded by its own small mutex so cache hits stay
 // read-only with respect to engine state. Within one execute() the MapReduce
 // pipeline parallelises on the engine's pool when the config says kThreads;
@@ -55,7 +56,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -72,7 +72,6 @@
 #include "src/partition/partitioner.hpp"
 #include "src/service/query.hpp"
 #include "src/service/stream.hpp"
-#include "src/skyline/incremental.hpp"
 #include "src/skyline/maintained.hpp"
 
 namespace mrsky::service {
@@ -86,11 +85,11 @@ struct QueryEngineOptions {
   core::MRSkylineConfig config;
 
   /// Result-cache entries kept (LRU eviction). 0 disables result caching —
-  /// fits and the incremental full skyline are still reused.
+  /// fits and the maintained full skyline are still reused.
   std::size_t cache_capacity = 64;
 
   /// Optional span recorder: the engine records "service"-category spans
-  /// (query, prepared-fit, insert-batch) and threads the recorder through the
+  /// (query, prepared-fit, apply-batch) and threads the recorder through the
   /// pipeline's RunOptions, so one file holds the service and engine levels.
   /// Must outlive the engine. Null = tracing off at zero cost.
   common::TraceRecorder* trace = nullptr;
@@ -102,8 +101,6 @@ struct QueryEngineOptions {
 
   /// Streaming time window: default TTL, in logical ticks, for points
   /// inserted without an explicit per-point TTL. 0 = no default expiry.
-  /// Either window option puts insert_batch() on the apply_batch path from
-  /// the first call, so plain inserts respect the window too.
   std::uint64_t window_ticks = 0;
 
   /// Undelivered deltas buffered per subscription before the oldest is
@@ -112,15 +109,15 @@ struct QueryEngineOptions {
 };
 
 /// One immutable, internally consistent view of the engine's data. Readers
-/// pin a snapshot for the duration of a query; an insert publishes a new one
+/// pin a snapshot for the duration of a query; a write publishes a new one
 /// and never mutates a published snapshot, so everything reachable from here
 /// is safe to read without locks for as long as the shared_ptr is held.
 struct EngineSnapshot {
   std::uint64_t version = 0;
   std::shared_ptr<const data::PointSet> dataset;
   /// Canonical (ascending-id) full skyline at `version` when known — either
-  /// computed by a pipeline run at this version or maintained by the
-  /// insert-time incremental fold. Null until the first skyline query.
+  /// computed by a pipeline run at this version or maintained by
+  /// apply_batch. Null until the first skyline query or write.
   std::shared_ptr<const data::PointSet> full_skyline;
 };
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
@@ -141,8 +138,8 @@ class QueryEngine {
   explicit QueryEngine(data::PointSet dataset, QueryEngineOptions options = {});
 
   /// Loads the dataset from any DatasetSource (block store, staged CSV,
-  /// in-memory). Serving is resident by design — queries, inserts and the
-  /// incremental fold all need random access — so the source is materialised
+  /// in-memory). Serving is resident by design — queries and skyline
+  /// maintenance both need random access — so the source is materialised
   /// once here; out-of-core execution is the batch pipeline's job
   /// (run_mr_skyline's DatasetSource overload), not the engine's
   /// (DESIGN.md decision 16).
@@ -176,34 +173,27 @@ class QueryEngine {
 
   /// Appends `points` to the resident dataset under fresh ids (the incoming
   /// ids are ignored; ids continue from max-existing + 1, the §II "new
-  /// service added into UDDI" path). Builds and publishes the next snapshot —
-  /// derived cache entries become unreachable and are purged (counted in
-  /// Stats::cache_evictions) — and, when a full skyline is resident, folds
-  /// the new points into it incrementally and re-seeds its cache entry
-  /// instead of discarding it. Writers serialise; readers are never blocked
-  /// beyond the snapshot pointer swap. Returns the version this batch
-  /// published (the still-current version for an empty no-op batch) — under
-  /// concurrency, version() may already be newer by the time the caller asks.
+  /// service added into UDDI" path). A forward to apply_batch with inserts
+  /// only, so windows, TTL defaults and subscriptions see plain inserts too.
+  /// An empty batch is a no-op. Returns the version this batch published
+  /// (the still-current version for an empty batch) — under concurrency,
+  /// version() may already be newer by the time the caller asks.
   std::uint64_t insert_batch(const data::PointSet& points);
 
   /// Applies one streaming tick — TTL expiry, explicit deletes, inserts,
   /// window eviction, in that order — and publishes the next snapshot plus
-  /// its skyline delta (ISSUE 9 tentpole). The first call engages streaming
-  /// mode: the resident dataset is bulk-loaded into an exact
-  /// skyline::MaintainedSkyline, and from then on every published snapshot
-  /// carries the full skyline (ascending-id dataset, exact under deletion —
-  /// deleting a skyline member promotes exactly its exclusive dominees).
-  /// Writers serialise with insert_batch; readers still only see the pointer
-  /// swap. Deltas are fanned out to live subscriptions under the same writer
-  /// ordering, so every subscriber observes versions in publication order.
+  /// its skyline delta. This is the engine's only write path. The first
+  /// write engages maintained state: the resident dataset is sorted by id
+  /// and bulk-loaded into an exact skyline::MaintainedSkyline, and from then
+  /// on every published snapshot carries the full skyline (ascending-id
+  /// dataset, exact under deletion — deleting a skyline member promotes
+  /// exactly its exclusive dominees). A dataset that repeats an id cannot be
+  /// maintained: the first write throws mrsky::InvalidArgument naming the id
+  /// and the engine keeps serving the current version. Writers serialise;
+  /// readers still only see the pointer swap. Deltas are fanned out to live
+  /// subscriptions under the same writer ordering, so every subscriber
+  /// observes versions in publication order.
   ApplyResult apply_batch(const MutationBatch& batch);
-
-  /// True once apply_batch has engaged streaming (or a window option forces
-  /// the first insert_batch onto the apply path).
-  [[nodiscard]] bool streaming() const noexcept {
-    return streaming_.load(std::memory_order_acquire) || options_.window_capacity > 0 ||
-           options_.window_ticks > 0;
-  }
 
   /// Registers a standing continuous-skyline query: the returned subscription
   /// carries a base (version, full skyline) pair and receives the delta of
@@ -223,7 +213,7 @@ class QueryEngine {
   [[nodiscard]] EngineSnapshotPtr snapshot() const;
 
   /// Convenience view of the current snapshot's dataset. The reference is
-  /// only stable while no concurrent insert_batch retires the snapshot —
+  /// only stable while no concurrent write retires the snapshot —
   /// single-caller code (CLI, benches) may use it freely; concurrent callers
   /// should hold snapshot() instead.
   [[nodiscard]] const data::PointSet& dataset() const { return *snapshot()->dataset; }
@@ -236,10 +226,10 @@ class QueryEngine {
     std::uint64_t fits_computed = 0;
     std::uint64_t fit_reuses = 0;
     std::uint64_t pipeline_runs = 0;
-    std::uint64_t incremental_serves = 0;  ///< skyline served from the fold
+    std::uint64_t incremental_serves = 0;  ///< skyline served from the snapshot, no pipeline run
     std::uint64_t inserts = 0;
     std::uint64_t points_inserted = 0;
-    std::uint64_t cache_evictions = 0;  ///< LRU capacity + insert-purge evictions
+    std::uint64_t cache_evictions = 0;  ///< LRU capacity + write-purge evictions
     std::uint64_t queries_cancelled = 0;  ///< typed QueryCancelled aborts (deadline or cancel)
     // scheme=auto only: adaptive-planner activity and its prediction quality.
     std::uint64_t plans_computed = 0;   ///< adaptive plans built (one per version)
@@ -287,7 +277,7 @@ class QueryEngine {
   /// Looks up / fits-and-memoises the partitioner for `ps` under `fit_key`,
   /// constructing it from `config` (the resolved pipeline config — never
   /// scheme=auto) on a miss. The returned shared_ptr pins the fit: a
-  /// concurrent insert_batch may retire the memo entry, but the fit object
+  /// concurrent write may retire the memo entry, but the fit object
   /// stays alive for this run.
   FitPtr prepared_fit(const data::PointSet& ps, const core::MRSkylineConfig& config,
                       const std::string& fit_key, bool& reused);
@@ -315,22 +305,27 @@ class QueryEngine {
   [[nodiscard]] QueryResult compute(const EngineSnapshot& snap, const Query& query,
                                     const common::CancellationToken& cancel);
 
-  /// After a pipeline computed the full skyline at `snap`'s version: seed the
-  /// insert-time fold and re-publish the snapshot with the skyline attached,
-  /// unless a concurrent insert moved the version on (then the result is
-  /// still correct for its version; it just cannot become the resident fold).
+  /// After a pipeline computed the full skyline at `snap`'s version:
+  /// re-publish the snapshot with the skyline attached, unless a concurrent
+  /// write moved the version on (then the result is still correct for its
+  /// version; it just cannot be attached to the current snapshot).
   void publish_full_skyline(const EngineSnapshot& snap, const data::PointSet& sky);
 
   void set_snapshot(EngineSnapshotPtr snap);
 
   /// Drops version-derived state after a write (fit memo, plan memo, result
   /// cache — evictions counted) and re-seeds the full-skyline cache entry for
-  /// `published` when it carries one. Shared by insert_batch and apply_batch.
+  /// `published`.
   void purge_derived_state(const EngineSnapshotPtr& published);
 
-  /// Engages streaming mode (caller holds write_mutex_): bulk-loads the
-  /// maintained structure from `dataset` and records arrival order.
-  void engage_streaming(const data::PointSet& dataset);
+  /// Engages maintained state on the first write (caller holds
+  /// write_mutex_): returns `rows` sorted by ascending id — the order
+  /// apply_batch's merge-skip publication relies on — after bulk-loading the
+  /// maintained structure from it and recording `rows`' order as the arrival
+  /// order. A repeated id makes the bulk load throw InvalidArgument naming
+  /// it, before anything changes.
+  std::shared_ptr<const data::PointSet> engage_maintained(
+      const std::shared_ptr<const data::PointSet>& rows);
 
   /// Fans `delta` out to live subscriptions (prunes dead ones).
   void publish_delta(const StreamDelta& delta);
@@ -345,20 +340,13 @@ class QueryEngine {
   mutable std::mutex snapshot_mutex_;
   EngineSnapshotPtr snapshot_;
 
-  /// Serialises writers: insert_batch, apply_batch and first-skyline
-  /// publication. Guards next_id_, the incremental fold, and the streaming
-  /// state below. Mutable so tick() can read under it.
+  /// Serialises writers: apply_batch and first-skyline publication. Guards
+  /// next_id_ and the maintained state below. Mutable so tick() can read
+  /// under it.
   mutable std::mutex write_mutex_;
   data::PointId next_id_ = 0;
-  /// The resident fold, maintained across insert_batch() calls. Valid iff
-  /// engaged and fold_version_ matches the published snapshot's version.
-  /// Superseded by maintained_ once streaming engages (apply_batch resets it).
-  std::optional<skyline::IncrementalSkyline> fold_;
-  std::uint64_t fold_version_ = 0;
 
-  /// Streaming state (guarded by write_mutex_; streaming_ is the lock-free
-  /// "has apply_batch ever run" flag insert_batch routes on).
-  std::atomic<bool> streaming_{false};
+  /// Maintained state, engaged by the first write (null until then).
   std::unique_ptr<skyline::MaintainedSkyline> maintained_;
   std::uint64_t tick_ = 0;
   /// Pending TTL expiries: (expires_at_tick, id) min-heap, checked lazily
@@ -377,13 +365,13 @@ class QueryEngine {
   std::vector<std::weak_ptr<StreamSubscription>> subs_;
 
   /// Fit memo; keys embed the dataset version so a stale fit can never serve
-  /// a newer dataset. Entries are dropped on insert; in-flight runs keep
+  /// a newer dataset. Entries are dropped on a write; in-flight runs keep
   /// their fit alive through the shared_ptr they pinned.
   mutable std::mutex fits_mutex_;
   std::map<std::string, FitPtr> fits_;
 
   /// Adaptive-plan memo (scheme=auto): one entry per dataset version, keyed
-  /// "v{version}/s{sample seed}". Dropped on insert like the fit memo;
+  /// "v{version}/s{sample seed}". Dropped on a write like the fit memo;
   /// in-flight queries keep their plan alive through the shared_ptr.
   mutable std::mutex plans_mutex_;
   std::map<std::string, std::shared_ptr<const core::AdaptivePlan>> plans_;

@@ -1,6 +1,7 @@
 #include "src/skyline/maintained.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/error.hpp"
 
@@ -101,7 +102,9 @@ bool MaintainedSkyline::raise(std::uint32_t slot) {
 
 bool MaintainedSkyline::insert(std::span<const double> c, data::PointId id) {
   if (c.size() != dim_) throw InvalidArgument("MaintainedSkyline::insert: dimension mismatch");
-  if (index_.count(id) != 0) throw InvalidArgument("MaintainedSkyline::insert: duplicate id");
+  if (index_.count(id) != 0) {
+    throw InvalidArgument("MaintainedSkyline::insert: duplicate id " + std::to_string(id));
+  }
   ++stats_.points_in;
   const std::uint32_t slot = alloc_slot(c, id);
   const bool entered = raise(slot);

@@ -1,12 +1,15 @@
-// Exact skyline maintenance under insertions AND deletions (ISSUE 9).
+// Exact skyline maintenance under insertions AND deletions — the one
+// incremental skyline structure. Paper §II keeps a skyline current as
+// services join the UDDI registry; the engine's write path, the service
+// selector's per-partition local skylines and the streaming windows all run
+// on this class.
 //
-// IncrementalSkyline (incremental.hpp) keeps only the skyline itself, which
-// is why its header rules deletions out of scope: removing a skyline member
-// can resurrect points it was hiding, and the skyline alone cannot say which.
-// This class keeps the bookkeeping that makes deletion exact without a full
-// recompute — the streaming-skyline literature's "exclusive dominance set"
-// idea (Lin et al., "Stabbing the sky", ICDE'05; Tao & Papadias' sliding-
-// window maintenance):
+// Keeping only the skyline is enough for insertions, but removing a skyline
+// member can resurrect points it was hiding, and the skyline alone cannot
+// say which. This class keeps the bookkeeping that makes deletion exact
+// without a full recompute — the streaming-skyline literature's "exclusive
+// dominance set" idea (Lin et al., "Stabbing the sky", ICDE'05; Tao &
+// Papadias' sliding-window maintenance):
 //
 //  * every live point is either a skyline member or is parked under exactly
 //    ONE skyline member that dominates it (its GUARD);

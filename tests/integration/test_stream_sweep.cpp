@@ -13,7 +13,9 @@
 //    published skyline, which is the standing-subscription contract.
 //
 // A slice of cases also runs a skyline query at a streamed version, proving
-// the pipeline path agrees with the maintained structure.
+// the pipeline path agrees with the maintained structure. StreamSweepShuffledIds
+// replays the first 40 cases from initial datasets whose rows are not in id
+// order, the input the first write must sort before it can merge-skip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -232,6 +234,21 @@ StreamCase make_case(std::uint64_t index) {
   return c;
 }
 
+/// The same case with its initial rows shuffled, so ids are no longer
+/// ascending (a CSV `id` column can come in any order). Ids stay attached to
+/// their points; the shuffled row order is the initial arrival order.
+StreamCase shuffle_initial_rows(StreamCase c, std::uint64_t index) {
+  common::Rng rng(index * 0x2545f491ull + 0x5eedull);
+  std::vector<std::size_t> order(c.initial.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_index(i)]);
+  }
+  c.initial = c.initial.select(order);
+  c.description += " shuffled";
+  return c;
+}
+
 class StreamSweep : public testing::TestWithParam<std::uint64_t> {
  protected:
   /// One pool shared by every kThreads engine in the sweep.
@@ -239,11 +256,13 @@ class StreamSweep : public testing::TestWithParam<std::uint64_t> {
     static common::ThreadPool pool(4);
     return pool;
   }
+
+  /// Replays `c` through both engines and the oracle, checking every tick;
+  /// `query_slice` also runs the pipeline at the last streamed version.
+  static void run(const StreamCase& c, bool query_slice);
 };
 
-TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
-  const StreamCase c = make_case(GetParam());
-
+void StreamSweep::run(const StreamCase& c, bool query_slice) {
   service::QueryEngineOptions seq_options;
   seq_options.window_capacity = c.window_capacity;
   seq_options.window_ticks = c.window_ticks;
@@ -290,7 +309,7 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
 
   // A slice also runs the query path at a streamed version: the pipeline must
   // agree with the maintained structure it never consulted.
-  if (GetParam() % 9 == 0) {
+  if (query_slice) {
     const auto result = seq.execute(service::Query{service::SkylineQuery{}});
     EXPECT_TRUE(SkylineBits(result.points) ==
                 SkylineBits(*seq.snapshot()->full_skyline))
@@ -300,7 +319,23 @@ TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
   EXPECT_FALSE(sub->lagged()) << c.description;
 }
 
+TEST_P(StreamSweep, MaintainedSkylineMatchesRecomputeEveryTick) {
+  run(make_case(GetParam()), GetParam() % 9 == 0);
+}
+
+/// The sweep again over initial datasets whose rows are not in id order.
+class StreamSweepShuffledIds : public StreamSweep {};
+
+TEST_P(StreamSweepShuffledIds, MaintainedSkylineMatchesRecomputeEveryTick) {
+  run(shuffle_initial_rows(make_case(GetParam()), GetParam()), GetParam() % 9 == 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, StreamSweep, testing::Range<std::uint64_t>(0, 200),
+                         [](const auto& param_info) {
+                           return "case" + std::to_string(param_info.param);
+                         });
+
+INSTANTIATE_TEST_SUITE_P(Cases, StreamSweepShuffledIds, testing::Range<std::uint64_t>(0, 40),
                          [](const auto& param_info) {
                            return "case" + std::to_string(param_info.param);
                          });

@@ -91,6 +91,22 @@ TEST(Session, InlineInsertAdvancesVersion) {
   EXPECT_EQ(session.metrics().points_inserted, 2u);
 }
 
+TEST(Session, InsertOnDatasetWithRepeatedIdAnswersWithAnError) {
+  data::PointSet ps(3);
+  ps.push_back(std::vector<double>{0.1, 0.5, 0.9}, 6);
+  ps.push_back(std::vector<double>{0.9, 0.5, 0.1}, 6);
+  service::QueryEngine engine(ps, {});
+  server::Session session(1, engine, "");
+  bool quit = false;
+  const std::string response = session.handle_line(R"({"insert":[[0.5,0.5,0.5]]})", quit);
+  EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
+  EXPECT_NE(response.find("id 6"), std::string::npos) << response;
+  EXPECT_FALSE(quit);
+  EXPECT_EQ(session.metrics().errors, 1u);
+  EXPECT_EQ(engine.version(), 0u);
+  EXPECT_TRUE(ok(session.handle_line("skyline", quit)));
+}
+
 TEST(Session, QuitEndsSessionAndMetricsReport) {
   service::QueryEngine engine(workload(), {});
   server::Session session(1, engine, "");

@@ -194,6 +194,37 @@ TEST(Subscriptions, EngineShutdownClosesSubscriptionAfterDrainingBacklog) {
   EXPECT_FALSE(sub->next(/*timeout_ms=*/-1).has_value());
 }
 
+TEST(Subscriptions, PlainInsertBeforeFirstStreamingWriteIsDelivered) {
+  // insert_batch and apply_batch publish through one write path, so the
+  // version a plain insert creates reaches subscribers like any other.
+  const std::size_t kDim = 3;
+  service::QueryEngine engine(workload(120, kDim), {});
+  const service::StreamSubscriptionPtr sub = engine.subscribe();
+  ASSERT_EQ(sub->base_version(), 0u);
+  Replica replica(sub->base_skyline());
+
+  std::map<std::uint64_t, SkylineBits> published;
+  const std::uint64_t v1 = engine.insert_batch(workload(20, kDim, 7));
+  published[v1] = SkylineBits(*engine.snapshot()->full_skyline);
+  service::MutationBatch batch;
+  batch.inserts = workload(5, kDim, 8);
+  batch.deletes = {0, 1, 2};
+  const service::ApplyResult r = engine.apply_batch(batch);
+  published[r.delta.version] = SkylineBits(*r.snapshot->full_skyline);
+  ASSERT_EQ(v1, 1u);
+  ASSERT_EQ(r.delta.version, 2u);
+
+  for (std::uint64_t version = 1; version <= 2; ++version) {
+    const std::optional<service::StreamDelta> delta = sub->next(/*timeout_ms=*/0);
+    ASSERT_TRUE(delta.has_value()) << "version " << version << " was not delivered";
+    EXPECT_EQ(delta->version, version);
+    replica.apply(*delta);
+    EXPECT_TRUE(replica.bits(kDim) == published[version]) << "version " << version;
+  }
+  EXPECT_FALSE(sub->next(/*timeout_ms=*/0).has_value());
+  EXPECT_FALSE(sub->lagged());
+}
+
 TEST(Subscriptions, SubscriberRacingWritersNeverSeesAGap) {
   // Gapless-handoff hammer: subscribers register WHILE a writer publishes.
   // Whatever base version a subscriber lands on, the next delta it pops must

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/mr_skyline.hpp"
@@ -153,7 +154,8 @@ TEST(QueryEngine, InsertInvalidatesDerivedEntriesButKeepsSkyline) {
   EXPECT_EQ(engine.dataset().size(), ps.size() + extra.size());
   EXPECT_EQ(engine.fit_entries(), 0u);  // stale fits must never serve pruning
 
-  // The full skyline survives the insert (incremental fold, cache re-seeded).
+  // The full skyline survives the insert (maintained by the write, cache
+  // re-seeded).
   const auto sky = engine.execute(service::SkylineQuery{});
   EXPECT_TRUE(sky.metrics.cache_hit);
   EXPECT_EQ(sky.metrics.dataset_version, 1u);
@@ -172,10 +174,57 @@ TEST(QueryEngine, InsertBeforeAnySkylineQueryStillExact) {
   engine.insert_batch(workload(50, 3, 6));
   EXPECT_EQ(engine.version(), 1u);
 
+  // Every write publishes the maintained full skyline and re-seeds its cache
+  // entry, so the first skyline query is a hit with no pipeline run.
   const auto sky = engine.execute(service::SkylineQuery{});
-  EXPECT_FALSE(sky.metrics.cache_hit);
-  EXPECT_EQ(engine.stats().incremental_serves, 0u);
+  EXPECT_TRUE(sky.metrics.cache_hit);
+  EXPECT_EQ(engine.stats().pipeline_runs, 0u);
   EXPECT_EQ(bits_of(sky.points), bits_of(canonical(skyline::bnl_skyline(engine.dataset()))));
+}
+
+TEST(QueryEngine, DeleteOnDatasetWithUnsortedIdsRemovesTheRow) {
+  // Dataset rows need not be in id order (a CSV `id` column can be in any
+  // order); the first write must still remove exactly the deleted row.
+  data::PointSet ps(2);
+  ps.push_back(std::vector<double>{0.3, 0.3}, 5);
+  ps.push_back(std::vector<double>{0.2, 0.4}, 1);
+  ps.push_back(std::vector<double>{0.4, 0.2}, 3);
+  service::QueryEngine engine(ps, {});
+
+  service::MutationBatch batch;
+  batch.deletes = {1};
+  const service::ApplyResult r = engine.apply_batch(batch);
+  EXPECT_EQ(r.delta.deleted, 1u);
+  const auto ids = r.snapshot->dataset->ids();
+  EXPECT_EQ(std::vector<data::PointId>(ids.begin(), ids.end()),
+            (std::vector<data::PointId>{3, 5}));
+
+  const auto band = engine.execute(service::KSkybandQuery{3});
+  EXPECT_EQ(bits_of(band.points), bits_of(canonical(skyline::k_skyband(engine.dataset(), 3))));
+  for (data::PointId id : band.points.ids()) EXPECT_NE(id, 1u);
+  EXPECT_EQ(band.points.size(), 2u);
+}
+
+TEST(QueryEngine, DuplicateIdsMakeTheFirstWriteATypedError) {
+  data::PointSet ps(2);
+  ps.push_back(std::vector<double>{0.1, 0.9}, 4);
+  ps.push_back(std::vector<double>{0.9, 0.1}, 2);
+  ps.push_back(std::vector<double>{0.5, 0.5}, 4);
+  service::QueryEngine engine(ps, {});
+
+  try {
+    engine.insert_batch(workload(3, 2, 7));
+    FAIL() << "a write on a dataset with a repeated id must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("id 4"), std::string::npos) << e.what();
+  }
+  // Nothing was published: the engine keeps serving version 0.
+  EXPECT_EQ(engine.version(), 0u);
+  EXPECT_EQ(engine.tick(), 0u);
+  EXPECT_EQ(engine.dataset().size(), 3u);
+  const auto sky = engine.execute(service::SkylineQuery{});
+  EXPECT_EQ(sky.metrics.dataset_version, 0u);
+  EXPECT_EQ(sky.points.size(), 3u);  // all three are mutually incomparable
 }
 
 TEST(QueryEngine, RepeatedInsertsKeepFoldExact) {
@@ -189,7 +238,7 @@ TEST(QueryEngine, RepeatedInsertsKeepFoldExact) {
         << "round " << round;
   }
   EXPECT_EQ(engine.version(), 3u);
-  EXPECT_EQ(engine.stats().pipeline_runs, 1u);  // everything after run 1 was folded
+  EXPECT_EQ(engine.stats().pipeline_runs, 1u);  // everything after run 1 was maintained
 }
 
 TEST(QueryEngine, SequentialAndThreadedEnginesAgreeBitwise) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -32,7 +33,12 @@ TEST(MaintainedSkyline, DimensionMismatchThrows) {
 TEST(MaintainedSkyline, DuplicateIdThrows) {
   MaintainedSkyline ms(2);
   (void)ms.insert(std::vector<double>{1.0, 2.0}, 7);
-  EXPECT_THROW(ms.insert(std::vector<double>{3.0, 4.0}, 7), InvalidArgument);
+  try {
+    (void)ms.insert(std::vector<double>{3.0, 4.0}, 7);
+    FAIL() << "a second insert under a live id must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate id 7"), std::string::npos) << e.what();
+  }
 }
 
 TEST(MaintainedSkyline, InsertMatchesIncrementalSemantics) {
@@ -126,6 +132,103 @@ TEST(MaintainedSkyline, BulkLoadMatchesBnl) {
   MaintainedSkyline ms(ps);
   EXPECT_TRUE(same_ids(ms.skyline_points(), bnl_skyline(ps)));
   EXPECT_EQ(ms.size(), ps.size());
+}
+
+TEST(MaintainedSkyline, StartsEmptyWithZeroCounters) {
+  MaintainedSkyline ms(2);
+  EXPECT_EQ(ms.size(), 0u);
+  EXPECT_TRUE(ms.skyline_ids().empty());
+  EXPECT_EQ(ms.stats().points_in, 0u);
+  EXPECT_EQ(ms.stats().dominance_tests, 0u);
+  EXPECT_EQ(ms.promotions(), 0u);
+}
+
+TEST(MaintainedSkyline, FirstInsertAlwaysEnters) {
+  MaintainedSkyline ms(2);
+  EXPECT_TRUE(ms.insert(std::vector<double>{5.0, 5.0}, 0));
+  EXPECT_EQ(ms.skyline_size(), 1u);
+}
+
+TEST(MaintainedSkyline, DominatedInsertRejected) {
+  MaintainedSkyline ms(2);
+  (void)ms.insert(std::vector<double>{1.0, 1.0}, 0);
+  EXPECT_FALSE(ms.insert(std::vector<double>{2.0, 2.0}, 1));
+  EXPECT_EQ(ms.skyline_size(), 1u);
+  EXPECT_TRUE(ms.contains(1));  // rejected from the skyline, still live
+}
+
+TEST(MaintainedSkyline, DominatingInsertEvicts) {
+  MaintainedSkyline ms(2);
+  (void)ms.insert(std::vector<double>{3.0, 3.0}, 0);
+  (void)ms.insert(std::vector<double>{4.0, 2.0}, 1);
+  EXPECT_TRUE(ms.insert(std::vector<double>{1.0, 1.0}, 2));  // dominates both
+  EXPECT_EQ(ms.skyline_ids(), (std::vector<data::PointId>{2}));
+  EXPECT_EQ(ms.size(), 3u);
+}
+
+TEST(MaintainedSkyline, IncomparableInsertCoexists) {
+  MaintainedSkyline ms(2);
+  (void)ms.insert(std::vector<double>{1.0, 5.0}, 0);
+  EXPECT_TRUE(ms.insert(std::vector<double>{5.0, 1.0}, 1));
+  EXPECT_EQ(ms.skyline_size(), 2u);
+}
+
+TEST(MaintainedSkyline, DuplicateInsertKept) {
+  MaintainedSkyline ms(2);
+  (void)ms.insert(std::vector<double>{1.0, 1.0}, 0);
+  EXPECT_TRUE(ms.insert(std::vector<double>{1.0, 1.0}, 1));  // equal: undominated
+  EXPECT_EQ(ms.skyline_size(), 2u);
+}
+
+TEST(MaintainedSkyline, BulkLoadMatchesBnlOnIndependentData) {
+  const PointSet ps = data::generate(data::Distribution::kIndependent, 500, 3, 31);
+  MaintainedSkyline ms(ps);
+  EXPECT_TRUE(same_ids(ms.skyline_points(), bnl_skyline(ps)));
+}
+
+TEST(MaintainedSkyline, InsertStreamMatchesBatchRecompute) {
+  // Inserting points one by one must end at exactly the batch skyline.
+  const PointSet ps = data::generate(data::Distribution::kAnticorrelated, 400, 3, 13);
+  MaintainedSkyline ms(ps.dim());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    (void)ms.insert(ps.point(i), ps.id(i));
+  }
+  EXPECT_TRUE(same_ids(ms.skyline_points(), bnl_skyline(ps)));
+}
+
+TEST(MaintainedSkyline, InsertOrderIrrelevant) {
+  const PointSet ps = data::generate(data::Distribution::kIndependent, 300, 2, 7);
+  MaintainedSkyline forward(ps.dim());
+  MaintainedSkyline backward(ps.dim());
+  for (std::size_t i = 0; i < ps.size(); ++i) (void)forward.insert(ps.point(i), ps.id(i));
+  for (std::size_t i = ps.size(); i-- > 0;) (void)backward.insert(ps.point(i), ps.id(i));
+  EXPECT_EQ(forward.skyline_ids(), backward.skyline_ids());
+}
+
+TEST(MaintainedSkyline, InsertReturnValueMatchesMembership) {
+  const PointSet ps = data::generate(data::Distribution::kIndependent, 200, 3, 3);
+  MaintainedSkyline ms(ps.dim());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const bool entered = ms.insert(ps.point(i), ps.id(i));
+    EXPECT_EQ(entered, ms.on_skyline(ps.id(i)));
+  }
+}
+
+TEST(MaintainedSkyline, DimensionMismatchLeavesStructureUnchanged) {
+  MaintainedSkyline ms(3);
+  (void)ms.insert(std::vector<double>{1.0, 2.0, 3.0}, 0);
+  EXPECT_THROW(ms.insert(std::vector<double>{1.0, 2.0}, 1), InvalidArgument);
+  EXPECT_EQ(ms.size(), 1u);
+  EXPECT_FALSE(ms.contains(1));
+}
+
+TEST(MaintainedSkyline, StatsAccumulate) {
+  MaintainedSkyline ms(2);
+  (void)ms.insert(std::vector<double>{1.0, 5.0}, 0);
+  (void)ms.insert(std::vector<double>{5.0, 1.0}, 1);
+  (void)ms.insert(std::vector<double>{3.0, 3.0}, 2);
+  EXPECT_GT(ms.stats().dominance_tests, 0u);
+  EXPECT_EQ(ms.stats().points_in, 3u);
 }
 
 // The tentpole's exactness claim: after ANY interleaving of inserts and
