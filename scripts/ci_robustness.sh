@@ -30,7 +30,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" \
 cmake --build "$BUILD_DIR" -j --target mrsky_tests mrsky ablation_fault_tolerance bench_server_load
 
 FILTER='Fault*:SkipBadRecords*:NodeFailure*:Cluster*:LptSchedule*:TraceJob*:Speculation*'
-FILTER+=':MetricsJson*:CsvIo*:RecordFile*:JobEdgeCases*:MRSkyline*'
+FILTER+=':MetricsJson*:CsvIo*:PointFiles*:JobEdgeCases*:MRSkyline*'
 "$BUILD_DIR/tests/mrsky_tests" --gtest_filter="$FILTER"
 
 # Server robustness: chaos harness (slowloris, oversized lines, mid-query

@@ -140,7 +140,7 @@ class BlockStore {
 
   /// The whole file as a resident PointSet. Strict by default; with a report
   /// the read is lenient — a corrupt block is dropped whole and accounted as
-  /// one issue row (its index), mirroring RecordFileReader::read_split.
+  /// one issue row (its index).
   [[nodiscard]] PointSet materialize(ParseReport* report = nullptr) const;
 
   /// Row indices (block-local, ascending) of block b's local skyline,

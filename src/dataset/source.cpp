@@ -1,17 +1,10 @@
 #include "src/dataset/source.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 
 #include "src/common/error.hpp"
 #include "src/dataset/block_store.hpp"
-#include "src/dataset/record_file.hpp"
+#include "src/dataset/io.hpp"
 
 namespace mrsky::data {
 
@@ -24,11 +17,6 @@ namespace {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-[[nodiscard]] bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 }  // namespace
@@ -162,70 +150,27 @@ std::string BlockStoreSource::describe() const {
          " blocks";
 }
 
-// ---- CsvSource -------------------------------------------------------------
+// ---- Whole-file reads and writes ------------------------------------------
 
-CsvSource::CsvSource(const std::string& path, const CsvReadOptions& options,
-                     ParseReport* report, std::size_t block_rows)
-    : csv_path_(path) {
-  std::ifstream file(path);
-  if (!file) MRSKY_FAIL("cannot open for reading: " + path);
-  CsvRowReader reader(file, options, report);
+bool is_block_store_path(const std::string& path) {
+  const std::string suffix = ".mrb";
+  return path.size() >= suffix.size() &&
+         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
 
-  // Stage into a private temporary block store next to the system temp dir;
-  // the name only needs to be unique per process+source.
-  static std::atomic<std::uint64_t> counter{0};
-  const auto tag = splitmix64(std::hash<std::string>{}(path)) ^
-                   counter.fetch_add(1, std::memory_order_relaxed);
-  temp_path_ = (std::filesystem::temp_directory_path() /
-                ("mrsky-csv-" + std::to_string(::getpid()) + "-" + std::to_string(tag) +
-                 ".mrb"))
-                   .string();
-  {
-    BlockStoreWriter writer(temp_path_, reader.dim(),
-                            block_rows > 0 ? block_rows : blockfmt::kDefaultBlockRows);
-    std::vector<double> row(reader.dim());
-    PointId id = 0;
-    while (reader.next(id, row)) writer.append(id, row);
-    MRSKY_REQUIRE(writer.rows_written() > 0, "CSV contains no usable data rows");
-    writer.close();
+PointSet read_points(const std::string& path, ParseReport* report) {
+  if (is_block_store_path(path)) return BlockStore(path).materialize(report);
+  CsvReadOptions options;
+  options.lenient = report != nullptr;
+  return read_csv_file(path, options, report);
+}
+
+void write_points(const std::string& path, const PointSet& ps) {
+  if (is_block_store_path(path)) {
+    write_block_store(path, ps);
+  } else {
+    write_csv_file(path, ps);
   }
-  backing_ = std::make_unique<BlockStoreSource>(temp_path_);
-}
-
-CsvSource::~CsvSource() {
-  backing_.reset();  // unmap before unlink
-  if (!temp_path_.empty()) std::remove(temp_path_.c_str());
-}
-
-std::size_t CsvSource::dim() const { return backing_->dim(); }
-std::size_t CsvSource::size() const { return backing_->size(); }
-std::size_t CsvSource::block_count() const { return backing_->block_count(); }
-BlockStats CsvSource::block_stats(std::size_t b) const { return backing_->block_stats(b); }
-void CsvSource::read_block(std::size_t b, PointSet& out) const {
-  backing_->read_block(b, out);
-}
-void CsvSource::release_block(std::size_t b) const { backing_->release_block(b); }
-PointSet CsvSource::materialize() const { return backing_->materialize(); }
-
-std::string CsvSource::describe() const {
-  return "csv " + csv_path_ + " (staged): " + std::to_string(size()) + " x " +
-         std::to_string(dim()) + "d in " + std::to_string(block_count()) + " blocks";
-}
-
-// ---- open_dataset ----------------------------------------------------------
-
-std::unique_ptr<DatasetSource> open_dataset(const std::string& path,
-                                            const OpenDatasetOptions& options,
-                                            ParseReport* report) {
-  if (ends_with(path, ".mrb")) {
-    return std::make_unique<BlockStoreSource>(path);
-  }
-  if (ends_with(path, ".mrsk")) {
-    return std::make_unique<PointSetSource>(read_record_file(path, report));
-  }
-  CsvReadOptions csv = options.csv;
-  csv.lenient = csv.lenient || report != nullptr;
-  return std::make_unique<CsvSource>(path, csv, report, options.csv_block_rows);
 }
 
 }  // namespace mrsky::data

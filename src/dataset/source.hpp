@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/dataset/io.hpp"
 #include "src/dataset/parse_report.hpp"
 #include "src/dataset/point_set.hpp"
 
@@ -132,48 +131,19 @@ class BlockStoreSource final : public DatasetSource {
   std::shared_ptr<const BlockStore> store_;
 };
 
-/// A CSV file seen through the source interface. Construction streams the
-/// file row-by-row through the lenient/strict CsvRowReader into a private
-/// temporary `.mrb` (removed on destruction), so a CSV bigger than RAM never
-/// materialises; afterwards it behaves exactly like a BlockStoreSource.
-class CsvSource final : public DatasetSource {
- public:
-  /// `report`, when non-null, makes the CSV read lenient and receives the
-  /// accepted/dropped accounting (same contract as read_csv).
-  explicit CsvSource(const std::string& path, const CsvReadOptions& options = {},
-                     ParseReport* report = nullptr,
-                     std::size_t block_rows = 0 /* 0 = format default */);
-  ~CsvSource() override;
+/// True iff `path` names a `.mrb` block store. The one place a file name maps
+/// to its format: every other path is CSV.
+[[nodiscard]] bool is_block_store_path(const std::string& path);
 
-  [[nodiscard]] std::size_t dim() const override;
-  [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] std::size_t block_count() const override;
-  [[nodiscard]] BlockStats block_stats(std::size_t b) const override;
-  void read_block(std::size_t b, PointSet& out) const override;
-  void release_block(std::size_t b) const override;
-  [[nodiscard]] PointSet materialize() const override;
-  [[nodiscard]] std::string describe() const override;
+/// Reads a whole dataset file: a `.mrb` is materialised from its block store,
+/// anything else is parsed as CSV. Strict by default; a non-null `report`
+/// makes the read lenient (a corrupt `.mrb` block or a malformed CSV row is
+/// dropped and accounted in it).
+[[nodiscard]] PointSet read_points(const std::string& path, ParseReport* report = nullptr);
 
- private:
-  std::string csv_path_;
-  std::string temp_path_;
-  std::unique_ptr<BlockStoreSource> backing_;
-};
-
-struct OpenDatasetOptions {
-  /// CSV parsing (lenient iff `report` passed to open_dataset).
-  CsvReadOptions csv;
-  /// Block capacity when a CSV is staged into a temporary block store
-  /// (0 = format default).
-  std::size_t csv_block_rows = 0;
-};
-
-/// Opens `path` as the source its extension implies: `.mrb` → BlockStoreSource
-/// (out-of-core), `.mrsk` → record file materialised behind a PointSetSource,
-/// anything else → CsvSource (streamed). A non-null report makes `.mrsk`/CSV
-/// reads lenient.
-[[nodiscard]] std::unique_ptr<DatasetSource> open_dataset(
-    const std::string& path, const OpenDatasetOptions& options = {},
-    ParseReport* report = nullptr);
+/// Writes `ps` in the format its file name implies: `.mrb` → block store
+/// (format defaults, input row order), anything else → CSV with ids. Both
+/// round-trip ids and coordinate bits exactly.
+void write_points(const std::string& path, const PointSet& ps);
 
 }  // namespace mrsky::data

@@ -22,7 +22,7 @@
 
 // Datasets: the PointSet container, ingest/egress, generators, preparation,
 // and the out-of-core layer — the unified DatasetSource abstraction over
-// in-memory sets, streamed CSVs and on-disk .mrb block stores.
+// in-memory sets and on-disk .mrb block stores.
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/io.hpp"

@@ -14,7 +14,8 @@
 //      {"query":"skyband","k":3}
 //      {"query":"representative","k":5}
 //      {"query":"topk","k":10,"weights":[0.25,0.75]}
-//      {"insert":"extra.csv"}              file on the server, insert_dir-relative
+//      {"insert":"extra.csv"}              CSV or .mrb file on the server,
+//                                          insert_dir-relative
 //      {"insert":[[0.1,0.2],[0.3,0.4]]}    inline rows (one array per point)
 //      {"insert":[[...]],"ttl_ticks":5}    inline rows expiring after 5 ticks
 //      {"delete":[3,17,42]}                delete points by engine id

@@ -137,12 +137,11 @@ class QueryEngine {
   /// Throws mrsky::InvalidArgument listing every config problem at once.
   explicit QueryEngine(data::PointSet dataset, QueryEngineOptions options = {});
 
-  /// Loads the dataset from any DatasetSource (block store, staged CSV,
-  /// in-memory). Serving is resident by design — queries and skyline
-  /// maintenance both need random access — so the source is materialised
-  /// once here; out-of-core execution is the batch pipeline's job
-  /// (run_mr_skyline's DatasetSource overload), not the engine's
-  /// (DESIGN.md decision 16).
+  /// Loads the dataset from any DatasetSource (block store or in-memory).
+  /// Serving is resident by design — queries and skyline maintenance both
+  /// need random access — so the source is materialised once here;
+  /// out-of-core execution is the batch pipeline's job (run_mr_skyline's
+  /// DatasetSource overload), not the engine's (DESIGN.md decision 16).
   explicit QueryEngine(const data::DatasetSource& source, QueryEngineOptions options = {});
 
   /// Closes every live subscription (backlogs stay drainable by holders).

@@ -1,6 +1,7 @@
 // The `.mrb` block store: round-trip fidelity, footer statistics, lazy
-// checksum verification, typed corruption errors, and the DatasetSource
-// seam every consumer programs against (DESIGN.md decision 16).
+// checksum verification, typed corruption errors, the DatasetSource seam
+// every consumer programs against (DESIGN.md decision 16), and the
+// whole-file read_points/write_points pair that picks a file's format.
 #include "src/dataset/block_store.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "src/common/error.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/io.hpp"
-#include "src/dataset/record_file.hpp"
 #include "src/dataset/source.hpp"
 #include "src/skyline/algorithms.hpp"
 
@@ -241,8 +241,7 @@ TEST(BlockStore, ZorderPermutationIsADeterministicPermutation) {
 }
 
 // ---------------------------------------------------------------------------
-// DatasetSource: the uniform interface over resident sets, .mrb files and
-// streamed CSVs.
+// DatasetSource: the uniform interface over resident sets and .mrb files.
 // ---------------------------------------------------------------------------
 
 TEST(DatasetSource, PointSetSourceIsResidentAndBlocksCoverEverything) {
@@ -302,51 +301,52 @@ TEST(DatasetSource, SampleIsDeterministicBoundedAndReleased) {
   EXPECT_EQ(source.sample(5000, 1).size(), ps.size());
 }
 
-TEST(DatasetSource, CsvSourceStreamsThroughTemporaryBlocks) {
-  const PointSet ps = generate(Distribution::kIndependent, 200, 3, 59);
-  const std::string csv = temp_path("src_data.csv");
-  write_csv_file(csv, ps);
-  const CsvSource source(csv, {}, nullptr, /*block_rows=*/32);
-  EXPECT_EQ(source.dim(), 3u);
-  EXPECT_EQ(source.size(), 200u);
-  EXPECT_EQ(source.block_count(), 7u);  // ceil(200 / 32)
-  EXPECT_EQ(sorted_ids(source.materialize()), sorted_ids(ps));
+// ---------------------------------------------------------------------------
+// read_points / write_points: whole-file I/O whose format follows the name.
+// ---------------------------------------------------------------------------
+
+TEST(PointFiles, RoundTripExactBitsAndIdsInEveryFormat) {
+  PointSet ps = generate(Distribution::kAnticorrelated, 120, 3, 61);
+  ps.push_back(std::vector<double>{0.1, 1.0 / 3.0, 1e-300}, 9001);  // id gap, tiny value
+  for (const std::string name : {"points.mrb", "points.csv"}) {
+    const std::string path = temp_path("pf_" + name);
+    write_points(path, ps);
+    EXPECT_EQ(read_points(path), ps) << name;  // ids and coordinate bits
+  }
+  // The name picks the format: a .mrb is a real block store, not CSV text.
+  EXPECT_TRUE(is_block_store_path(temp_path("pf_points.mrb")));
+  EXPECT_FALSE(is_block_store_path(temp_path("pf_points.csv")));
+  EXPECT_EQ(BlockStore(temp_path("pf_points.mrb")).materialize(), ps);
+  EXPECT_EQ(read_csv_file(temp_path("pf_points.csv")), ps);
 }
 
-TEST(DatasetSource, CsvSourceLenientReportsDroppedRows) {
-  const std::string csv = temp_path("src_bad.csv");
+TEST(PointFiles, LenientMrbReadDropsCorruptBlockAndReportsIt) {
+  const PointSet ps = generate(Distribution::kIndependent, 200, 2, 67);
+  const std::string path = temp_path("pf_corrupt.mrb");
+  write_block_store(path, ps, 100);
+  flip_byte_at(path, static_cast<std::streamoff>(blockfmt::kHeaderBytes) + 64);
+  EXPECT_THROW((void)read_points(path), mrsky::RuntimeError);  // strict by default
+  ParseReport report;
+  const PointSet loaded = read_points(path, &report);
+  ASSERT_EQ(loaded.size(), 100u);
+  EXPECT_EQ(loaded.id(0), ps.id(100));  // survivors are the second block
+  EXPECT_EQ(report.rows_skipped, 100u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].row, 0u);  // the dropped block's index
+}
+
+TEST(PointFiles, LenientCsvReadDropsMalformedRowsAndReportsThem) {
+  const std::string csv = temp_path("pf_bad.csv");
   {
     std::ofstream out(csv);
     out << "id,a,b\n0,1.0,2.0\n1,not_a_number,3.0\n2,4.0,5.0\n";
   }
-  CsvReadOptions options;
-  options.lenient = true;
+  EXPECT_THROW((void)read_points(csv), mrsky::InvalidArgument);  // strict by default
   ParseReport report;
-  const CsvSource source(csv, options, &report);
-  EXPECT_EQ(source.size(), 2u);
+  const PointSet loaded = read_points(csv, &report);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.id(1), 2u);
   EXPECT_EQ(report.rows_skipped, 1u);
-}
-
-TEST(DatasetSource, OpenDatasetDispatchesOnExtension) {
-  const PointSet ps = generate(Distribution::kIndependent, 120, 2, 61);
-  const std::string mrb = temp_path("open_me.mrb");
-  const std::string mrsk = temp_path("open_me.mrsk");
-  const std::string csv = temp_path("open_me.csv");
-  write_block_store(mrb, ps, 32);
-  write_record_file(mrsk, ps);
-  write_csv_file(csv, ps);
-
-  const auto from_mrb = open_dataset(mrb);
-  EXPECT_EQ(from_mrb->resident(), nullptr);  // stays out of core
-  EXPECT_EQ(from_mrb->materialize(), ps);
-
-  const auto from_mrsk = open_dataset(mrsk);
-  ASSERT_NE(from_mrsk->resident(), nullptr);  // record files materialise
-  EXPECT_EQ(*from_mrsk->resident(), ps);
-
-  const auto from_csv = open_dataset(csv);
-  EXPECT_EQ(from_csv->size(), ps.size());
-  EXPECT_EQ(sorted_ids(from_csv->materialize()), sorted_ids(ps));
 }
 
 }  // namespace

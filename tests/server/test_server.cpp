@@ -12,7 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/dataset/io.hpp"
 #include "src/server/client.hpp"
 #include "src/server/server.hpp"
 #include "src/server/session.hpp"
@@ -105,6 +107,31 @@ TEST(Session, InsertOnDatasetWithRepeatedIdAnswersWithAnError) {
   EXPECT_EQ(session.metrics().errors, 1u);
   EXPECT_EQ(engine.version(), 0u);
   EXPECT_TRUE(ok(session.handle_line("skyline", quit)));
+}
+
+TEST(Session, FileInsertTakesCsvAndMrbAlike) {
+  // The same rows staged once as CSV and once as a .mrb block store, both
+  // resolved against insert_dir, must land identically.
+  data::PointSet batch(3);
+  batch.push_back(std::vector<double>{0.01, 0.02, 0.97}, 1000);
+  batch.push_back(std::vector<double>{1.0 / 3.0, 0.015, 0.5}, 1001);
+  batch.push_back(std::vector<double>{0.9, 0.9, 0.9}, 1002);
+  const std::string dir = testing::TempDir();
+  data::write_csv_file(dir + "/session_batch.csv", batch);
+  data::write_block_store(dir + "/session_batch.mrb", batch);
+
+  std::vector<std::string> skylines;
+  for (const std::string name : {"session_batch.csv", "session_batch.mrb"}) {
+    service::QueryEngine engine(workload(), {});
+    server::Session session(1, engine, dir);
+    bool quit = false;
+    const std::string response = session.handle_line("insert " + name, quit);
+    EXPECT_TRUE(ok(response)) << name << ": " << response;
+    EXPECT_NE(response.find("\"inserted\":3"), std::string::npos) << response;
+    EXPECT_EQ(engine.version(), 1u) << name;
+    skylines.push_back(strip_metrics(session.handle_line("skyline", quit)));
+  }
+  EXPECT_EQ(skylines[0], skylines[1]);
 }
 
 TEST(Session, QuitEndsSessionAndMetricsReport) {

@@ -1,8 +1,8 @@
 // mrsky — command-line front end for the library.
 //
 // Subcommands:
-//   generate  — write a synthetic dataset to CSV
-//   convert   — stage a CSV/.mrsk dataset into an on-disk .mrb block store
+//   generate  — write a synthetic dataset to CSV or .mrb
+//   convert   — stage a CSV dataset into an on-disk .mrb block store
 //   inspect   — print a .mrb file's block index (corners, checksums)
 //   skyline   — compute a skyline from a dataset with the MR pipeline;
 //               a .mrb input streams block by block (out-of-core)
@@ -46,8 +46,6 @@
 #include "src/core/planner.hpp"
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
-#include "src/dataset/io.hpp"
-#include "src/dataset/record_file.hpp"
 #include "src/dataset/normalize.hpp"
 #include "src/dataset/qws.hpp"
 #include "src/dataset/source.hpp"
@@ -72,73 +70,47 @@ int usage() {
   return 2;
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(),
-                                                suffix) == 0;
+/// The --input path. A .mrb holds exactly what `mrsky convert` staged, so it
+/// is never rescaled on load: rescaling here would make the resident
+/// subcommands disagree with what `mrsky skyline` streams, and would force a
+/// full materialising pass on the streaming ones.
+std::string input_path(const common::CliArgs& args) {
+  const std::string path = args.get_string("input", "");
+  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrb> is required");
+  MRSKY_REQUIRE(!data::is_block_store_path(path) || !args.get_bool("normalize", false),
+                "--normalize is not supported for .mrb inputs; normalize before `mrsky convert`");
+  return path;
 }
 
+/// Reads a dataset file in the format its name implies. --lenient is tolerant
+/// ingest for hand-curated files (the real QWS dataset is a web crawl):
+/// malformed rows and corrupt blocks are dropped and summarised, not fatal.
+data::PointSet read_dataset(const std::string& path, const common::CliArgs& args) {
+  data::ParseReport report;
+  data::PointSet ps = data::read_points(path, args.get_bool("lenient", false) ? &report : nullptr);
+  if (!report.clean()) std::cerr << path << ": " << report.summary();
+  return ps;
+}
+
+/// Loads --input resident, for subcommands that genuinely need residency
+/// (serving, diagnostics). CSV is min-max normalised unless --normalize false.
 data::PointSet load_input(const common::CliArgs& args) {
-  const std::string path = args.get_string("input", "");
-  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrsk|file.mrb> is required");
-  data::PointSet ps(1);
-  if (has_suffix(path, ".mrb")) {
-    // Subcommands that reach here genuinely need residency (serving,
-    // diagnostics), so a .mrb is materialised whole. Attribute values pass
-    // through untouched: the file was prepared by `mrsky convert`, and
-    // rescaling it here would silently disagree with what `mrsky skyline`
-    // streams. Use `mrsky skyline` for out-of-core execution.
-    const data::BlockStore store(path);
-    if (args.get_bool("lenient", false)) {
-      data::ParseReport report;
-      ps = store.materialize(&report);
-      if (!report.clean()) std::cerr << path << ": " << report.summary();
-    } else {
-      ps = store.materialize();
-    }
-    return ps;
+  const std::string path = input_path(args);
+  data::PointSet ps = read_dataset(path, args);
+  if (args.get_bool("normalize", !data::is_block_store_path(path))) {
+    ps = data::normalize_min_max(ps);
   }
-  if (args.get_bool("lenient", false)) {
-    // Tolerant ingest for hand-curated files (the real QWS dataset is a web
-    // crawl): malformed rows and corrupted blocks are dropped, not fatal.
-    data::ParseReport report;
-    if (has_suffix(path, ".mrsk")) {
-      ps = data::read_record_file(path, &report);
-    } else {
-      data::CsvReadOptions options;
-      options.lenient = true;
-      ps = data::read_csv_file(path, options, &report);
-    }
-    if (!report.clean()) std::cerr << path << ": " << report.summary();
-  } else {
-    ps = has_suffix(path, ".mrsk") ? data::read_record_file(path) : data::read_csv_file(path);
-  }
-  if (args.get_bool("normalize", true)) ps = data::normalize_min_max(ps);
   return ps;
 }
 
 /// The streaming counterpart of load_input, for subcommands that run the
 /// pipeline (`skyline`, `plan`): a .mrb input becomes a BlockStoreSource and
 /// is never materialised — map tasks read blocks and block pruning skips
-/// dominated ones; anything else is loaded resident (with the usual
-/// --lenient / --normalize handling) behind a PointSetSource.
+/// dominated ones; anything else is loaded resident behind a PointSetSource.
 std::unique_ptr<data::DatasetSource> load_source(const common::CliArgs& args) {
-  const std::string path = args.get_string("input", "");
-  MRSKY_REQUIRE(!path.empty(), "--input <file.csv|file.mrsk|file.mrb> is required");
-  if (has_suffix(path, ".mrb")) {
-    MRSKY_REQUIRE(!args.get_bool("normalize", false),
-                  "--normalize is not supported for .mrb inputs (it would force a full "
-                  "materialising pass); normalize before `mrsky convert`");
-    return std::make_unique<data::BlockStoreSource>(path);
-  }
+  const std::string path = input_path(args);
+  if (data::is_block_store_path(path)) return std::make_unique<data::BlockStoreSource>(path);
   return std::make_unique<data::PointSetSource>(load_input(args));
-}
-
-void save_points(const std::string& path, const data::PointSet& ps) {
-  if (has_suffix(path, ".mrsk")) {
-    data::write_record_file(path, ps);
-  } else {
-    data::write_csv_file(path, ps);
-  }
 }
 
 core::MRSkylineConfig config_from(const common::CliArgs& args) {
@@ -200,7 +172,7 @@ mr::ClusterModel cluster_model_from(const common::CliArgs& args, std::size_t ser
 
 int cmd_generate(const common::CliArgs& args) {
   const std::string output = args.get_string("output", "");
-  MRSKY_REQUIRE(!output.empty(), "--output <file.csv> is required");
+  MRSKY_REQUIRE(!output.empty(), "--output <file.csv|file.mrb> is required");
   const auto n = static_cast<std::size_t>(args.get_int("n", 10000));
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2012));
@@ -213,7 +185,7 @@ int cmd_generate(const common::CliArgs& args) {
     ps = data::generate(data::parse_distribution(args.get_string("distribution", "independent")),
                         n, dim, seed);
   }
-  save_points(output, ps);
+  data::write_points(output, ps);
   std::cout << "wrote " << ps.size() << " points x " << ps.dim() << " attributes to " << output
             << "\n";
   return 0;
@@ -222,10 +194,10 @@ int cmd_generate(const common::CliArgs& args) {
 int cmd_convert(const common::CliArgs& args) {
   const std::string input = args.get_string("input", "");
   const std::string output = args.get_string("output", "");
-  MRSKY_REQUIRE(!input.empty(), "--input <file.csv|file.mrsk> is required");
+  MRSKY_REQUIRE(!input.empty(), "--input <file.csv> is required");
   MRSKY_REQUIRE(!output.empty(), "--output <file.mrb> is required");
-  MRSKY_REQUIRE(has_suffix(output, ".mrb"), "--output must end in .mrb");
-  MRSKY_REQUIRE(!has_suffix(input, ".mrb"), "--input is already a .mrb block store");
+  MRSKY_REQUIRE(data::is_block_store_path(output), "--output must end in .mrb");
+  MRSKY_REQUIRE(!data::is_block_store_path(input), "--input is already a .mrb block store");
   const auto block_rows = static_cast<std::size_t>(args.get_int(
       "block-rows", static_cast<std::int64_t>(data::blockfmt::kDefaultBlockRows)));
   MRSKY_REQUIRE(block_rows > 0, "--block-rows must be positive");
@@ -233,20 +205,7 @@ int cmd_convert(const common::CliArgs& args) {
   // Conversion is a container change, so rows pass through verbatim unless
   // --normalize true is given explicitly (note: opposite default from the
   // query subcommands — the .mrb should hold exactly what later runs read).
-  data::PointSet ps(1);
-  if (args.get_bool("lenient", false)) {
-    data::ParseReport report;
-    if (has_suffix(input, ".mrsk")) {
-      ps = data::read_record_file(input, &report);
-    } else {
-      data::CsvReadOptions options;
-      options.lenient = true;
-      ps = data::read_csv_file(input, options, &report);
-    }
-    if (!report.clean()) std::cerr << input << ": " << report.summary();
-  } else {
-    ps = has_suffix(input, ".mrsk") ? data::read_record_file(input) : data::read_csv_file(input);
-  }
+  data::PointSet ps = read_dataset(input, args);
   if (args.get_bool("normalize", false)) ps = data::normalize_min_max(ps);
 
   const std::string order = args.get_string("order", "input");
@@ -287,7 +246,7 @@ std::string hex64(std::uint64_t v) {
 int cmd_inspect(const common::CliArgs& args) {
   const std::string input = args.get_string("input", "");
   MRSKY_REQUIRE(!input.empty(), "--input <file.mrb> is required");
-  MRSKY_REQUIRE(has_suffix(input, ".mrb"),
+  MRSKY_REQUIRE(data::is_block_store_path(input),
                 "inspect reads .mrb block stores (see `mrsky convert`)");
   const data::BlockStore store(input);
 
@@ -363,7 +322,7 @@ int cmd_skyline(const common::CliArgs& args) {
   if (args.get_bool("verbose", false)) std::cout << result.summary();
 
   if (const std::string out = args.get_string("output", ""); !out.empty()) {
-    save_points(out, result.skyline);
+    data::write_points(out, result.skyline);
     std::cout << "skyline written to " << out << "\n";
   }
   if (const std::string json = args.get_string("metrics-json", ""); !json.empty()) {
@@ -498,27 +457,6 @@ int cmd_simulate(const common::CliArgs& args) {
   return 0;
 }
 
-/// Builds the resident engine for `query`/`serve`. Serving is resident by
-/// design (DESIGN.md decision 16): a .mrb input goes through the QueryEngine
-/// DatasetSource constructor, which materialises it once at startup; other
-/// inputs load through load_input as before.
-std::unique_ptr<service::QueryEngine> make_engine(const common::CliArgs& args,
-                                                  service::QueryEngineOptions options) {
-  const std::string path = args.get_string("input", "");
-  if (has_suffix(path, ".mrb")) {
-    return std::make_unique<service::QueryEngine>(data::BlockStoreSource(path),
-                                                  std::move(options));
-  }
-  return std::make_unique<service::QueryEngine>(load_input(args), std::move(options));
-}
-
-/// Loads an insert-command file verbatim (no normalisation — insert batches
-/// must already be in the resident dataset's attribute space; re-normalising
-/// per file would shift every batch onto a different scale).
-data::PointSet load_insert_file(const std::string& path) {
-  return has_suffix(path, ".mrsk") ? data::read_record_file(path) : data::read_csv_file(path);
-}
-
 int cmd_query(const common::CliArgs& args) {
   const std::string script_path = args.get_string("script", "");
   MRSKY_REQUIRE(!script_path.empty(), "--script <file> is required");
@@ -532,8 +470,7 @@ int cmd_query(const common::CliArgs& args) {
   options.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 64));
   if (!trace_out.empty()) options.trace = &recorder;
 
-  const auto engine_ptr = make_engine(args, options);
-  service::QueryEngine& engine = *engine_ptr;
+  service::QueryEngine engine(load_input(args), options);
   std::cout << "dataset: " << engine.dataset().size() << " points x " << engine.dataset().dim()
             << " attributes\n";
 
@@ -544,7 +481,9 @@ int cmd_query(const common::CliArgs& args) {
     ++index;
     if (!queries_json.empty()) queries_json += ",";
     if (const auto* insert = std::get_if<service::InsertCommand>(&command)) {
-      const data::PointSet extra = load_insert_file(insert->path);
+      // Verbatim (no normalisation): insert batches must already be in the
+      // resident dataset's attribute space.
+      const data::PointSet extra = data::read_points(insert->path);
       engine.insert_batch(extra);
       table.add_row({common::Table::fmt(index), "insert " + insert->path,
                      common::Table::fmt(extra.size()), "", "", "", ""});
@@ -632,8 +571,7 @@ int cmd_serve(const common::CliArgs& args) {
   service::QueryEngineOptions options;
   options.config = config_from(args);
   options.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 64));
-  const auto engine_ptr = make_engine(args, options);
-  service::QueryEngine& engine = *engine_ptr;
+  service::QueryEngine engine(load_input(args), options);
 
   server::ServerOptions server_options;
   server_options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
