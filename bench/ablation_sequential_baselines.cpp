@@ -1,10 +1,10 @@
 // Ablation — sequential skyline baselines: the scan algorithms the paper's
-// pipeline uses (BNL, SFS), the memory-bounded multi-pass BNL of the
-// original skyline paper, and the index-based BBS (Papadias et al. [25]).
+// pipeline uses (BNL, SFS) and the memory-bounded multi-pass BNL of the
+// original skyline paper.
 //
 // Single-machine comparison at the paper's workload: wall time, dominance
-// tests, and per-algorithm extras (passes/spills for bounded BNL, node
-// visits for BBS). All outputs are verified identical.
+// tests, and passes/spills for bounded BNL. All outputs are verified
+// identical.
 #include <iostream>
 
 #include "bench/support.hpp"
@@ -14,7 +14,6 @@
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/bnl_bounded.hpp"
 #include "src/skyline/verify.hpp"
-#include "src/spatial/bbs.hpp"
 
 using namespace mrsky;
 
@@ -59,18 +58,8 @@ int main(int argc, char** argv) {
                        " passes, " + std::to_string(report.overflow_points) + " spills" +
                        (skyline::same_ids(sky, reference) ? "" : " MISMATCH")});
   }
-  {
-    spatial::BbsReport report;
-    common::Timer timer;
-    const auto sky = spatial::bbs_skyline(ps, &report);
-    table.add_row({"bbs", common::Table::fmt(timer.elapsed_ms(), 1),
-                   common::Table::fmt(report.stats.dominance_tests),
-                   common::Table::fmt(sky.size()),
-                   std::to_string(report.nodes_visited) + " nodes visited" +
-                       (skyline::same_ids(sky, reference) ? "" : " MISMATCH")});
-  }
   table.print(std::cout, "Sequential baselines");
-  std::cout << "\nBBS is the I/O-optimal sequential baseline; the MapReduce pipeline's\n"
-               "value is distributing the work the scan algorithms do in one process.\n";
+  std::cout << "\nThe MapReduce pipeline's value is distributing the work these scan\n"
+               "algorithms do in one process.\n";
   return 0;
 }

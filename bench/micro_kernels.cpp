@@ -10,8 +10,6 @@
 #include "src/partition/angular.hpp"
 #include "src/partition/dimensional.hpp"
 #include "src/partition/grid.hpp"
-#include "src/spatial/bbs.hpp"
-#include "src/spatial/rtree.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/dominance.hpp"
 #include "src/skyline/dominance_block.hpp"
@@ -165,32 +163,6 @@ BENCHMARK(BM_SkylineAlgorithm<skyline::Algorithm::kSfs>)
     ->ArgsProduct({{1000, 10000}, {4, 10}});
 BENCHMARK(BM_SkylineAlgorithm<skyline::Algorithm::kDivideConquer>)
     ->ArgsProduct({{1000, 10000}, {4, 10}});
-
-void BM_RTreeBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto ps = workload(n, 4);
-  for (auto _ : state) {
-    spatial::RTree tree(ps, 16);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000);
-
-void BM_BbsSkyline(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto dim = static_cast<std::size_t>(state.range(1));
-  const auto ps = workload(n, dim);
-  const spatial::RTree tree(ps, 16);
-  for (auto _ : state) {
-    auto sky = spatial::bbs_skyline(tree);
-    benchmark::DoNotOptimize(sky);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BbsSkyline)->ArgsProduct({{1000, 10000}, {4, 10}});
 
 void BM_HypersphericalTransform(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));

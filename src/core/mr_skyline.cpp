@@ -578,7 +578,7 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   MRSKY_REQUIRE(source.size() > 0, "cannot compute the skyline of an empty dataset");
 
   // scheme=auto, streamed: the planner samples the source block by block and
-  // discounts map/shuffle costs by the predicted block-prune savings.
+  // discounts map/shuffle costs by the predicted block-pruning savings.
   if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
     AdaptivePlannerOptions popts;
     popts.sample_seed = config.fit_sample_seed;
@@ -665,60 +665,36 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   MRSkylineResult result;
   result.partition_report = part::analyze_partitioning(*partitioner, source);
 
-  // Pre-shuffle block pruning: a block whose min corner is *strictly*
-  // dominated in every attribute by some sample-skyline point contains only
-  // dominated rows — the dominator is a real dataset point — so the block
-  // can be skipped before a single row is read. Strict-everywhere keeps the
-  // test sound with duplicates and points sitting on the corner itself, and
-  // dropping non-survivors never reorders the survivors, so the final
-  // skyline is bitwise identical to the unpruned run.
+  // Pre-shuffle block pruning (data::prune_blocks): a block whose min corner
+  // is strictly dominated by a sample-skyline point — a real dataset point —
+  // is skipped before a single row is read. Dropping non-survivors never
+  // reorders the survivors, so the final skyline is bitwise identical to the
+  // unpruned run.
   BlockInput stream;
   stream.source = &source;
-  stream.row_offsets.push_back(0);
-  std::uint64_t blocks_pruned = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_pruned = 0;
+  data::BlockPrune prune;
   {
     common::ScopedSpan prune_span(trace, "block-prune", "plan");
-    data::PointSet sample_sky(dim);
-    if (config.block_prune) {
-      sample_sky = skyline::compute_skyline(fit_sample, skyline::Algorithm::kBnl);
-    }
-    for (std::size_t b = 0; b < source.block_count(); ++b) {
-      const data::BlockStats stats = source.block_stats(b);
-      bool drop = false;
-      if (config.block_prune && stats.has_corners) {
-        for (std::size_t s = 0; !drop && s < sample_sky.size(); ++s) {
-          const std::span<const double> p = sample_sky.point(s);
-          bool dominates = true;
-          for (std::size_t a = 0; dominates && a < dim; ++a) {
-            dominates = p[a] < stats.min_corner[a];
-          }
-          drop = dominates;
-        }
-      }
-      if (drop) {
-        ++blocks_pruned;
-        bytes_pruned += stats.bytes;
-      } else {
-        stream.blocks.push_back(b);
-        stream.row_offsets.push_back(stream.row_offsets.back() + stats.rows);
-        bytes_read += stats.bytes;
-      }
-    }
-    prune_span.arg("blocks_pruned", blocks_pruned);
-    prune_span.arg("bytes_pruned", bytes_pruned);
-    prune_span.arg("bytes_read", bytes_read);
+    prune = data::prune_blocks(
+        source, skyline::compute_skyline(fit_sample, skyline::Algorithm::kBnl));
+    prune_span.arg("blocks_pruned", prune.blocks_pruned);
+    prune_span.arg("bytes_pruned", prune.bytes_pruned);
+    prune_span.arg("bytes_read", prune.bytes_read);
   }
   // At least one block always survives: the block holding a sample-skyline
   // point cannot have its min corner strictly dominated by any sample-skyline
   // point (that dominator would have knocked the resident point out).
-  MRSKY_ASSERT(!stream.blocks.empty(), "block pruning dropped every block");
+  MRSKY_ASSERT(!prune.kept.empty(), "block pruning dropped every block");
+  stream.blocks = std::move(prune.kept);
+  stream.row_offsets.push_back(0);
+  for (const std::size_t b : stream.blocks) {
+    stream.row_offsets.push_back(stream.row_offsets.back() + source.block_stats(b).rows);
+  }
 
   run_pipeline(stream, stream.size(), dim, *partitioner, partitions, pruned, config, result);
-  result.partition_job.blocks_pruned = blocks_pruned;
-  result.partition_job.bytes_read = bytes_read;
-  result.partition_job.bytes_pruned = bytes_pruned;
+  result.partition_job.blocks_pruned = prune.blocks_pruned;
+  result.partition_job.bytes_read = prune.bytes_read;
+  result.partition_job.bytes_pruned = prune.bytes_pruned;
 
   result.wall_seconds = wall.elapsed_seconds();
   return result;

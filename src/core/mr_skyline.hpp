@@ -53,8 +53,8 @@ struct MRSkylineConfig {
   /// replaces `local_algorithm` entirely; the function must return the exact
   /// skyline of its input and accumulate its dominance tests into the stats
   /// (pass-through to the cluster cost model). This is the hook for plugging
-  /// index-based kernels (e.g. spatial::bbs_skyline) into the pipeline
-  /// without coupling the core to them.
+  /// a custom kernel (e.g. skyline::sfs_skyline, or a fault-injecting one in
+  /// tests) into the pipeline without coupling the core to it.
   std::function<data::PointSet(const data::PointSet&, skyline::SkylineStats*)>
       local_skyline_override;
 
@@ -66,16 +66,6 @@ struct MRSkylineConfig {
 
   /// Honour MR-Grid's inter-cell dominance pruning (§III-B).
   bool apply_grid_pruning = true;
-
-  /// Out-of-core runs only: before the map stage reads a block, drop it
-  /// whole when its min corner is strictly dominated in every attribute by
-  /// some point of the fit sample's skyline. Every point in such a block is
-  /// dominated by a real dataset point, so the final skyline is bitwise
-  /// identical with or without the skip — only `bytes_read` changes. The
-  /// pruned volume is reported on the job-1 metrics (`blocks_pruned`,
-  /// `bytes_pruned`). Ignored by the in-memory PointSet overload, whose
-  /// virtual blocks carry no corners.
-  bool block_prune = true;
 
   /// MR-Dim only: attribute carrying the slabs.
   std::size_t split_dim = 0;
@@ -214,11 +204,12 @@ struct MRSkylineResult {
 /// source block by block instead of over a materialised PointSet, so peak
 /// memory is bounded by a handful of blocks regardless of dataset size.
 /// Blocks whose min corner is strictly dominated by a sample-skyline point
-/// are skipped whole before any row is read (config.block_prune, sound —
-/// see MRSkylineConfig); the job-1 metrics report `blocks_pruned`,
-/// `bytes_read` and `bytes_pruned`. The skyline is the SAME POINT SET as
-/// the in-memory overload computes on the same data, every member bitwise
-/// identical (compare canonically, e.g. ordered by id). Result *order*
+/// are skipped whole before any row is read (data::prune_blocks: sound, so
+/// only `bytes_read` changes; a source without corners keeps every block);
+/// the job-1 metrics report `blocks_pruned`, `bytes_read` and
+/// `bytes_pruned`. The skyline is the SAME POINT SET as the in-memory
+/// overload computes on the same data, every member bitwise identical
+/// (compare canonically, e.g. ordered by id). Result *order*
 /// additionally matches whenever both runs use the same partitioning —
 /// e.g. a shared config.prepared_partitioner, or fit_sample_size == 0 on a
 /// resident source. It can differ otherwise because an out-of-core run must

@@ -146,7 +146,7 @@ class BlockStore {
   /// Row indices (block-local, ascending) of block b's local skyline,
   /// computed with the dominance_block kernel straight off the mapped tiles
   /// — no gather, no PointSet. The demonstration that the storage layout is
-  /// the compute layout; used by `mrsky inspect` and the block-prune
+  /// the compute layout; used by `mrsky inspect` and the block-pruning
   /// soundness tests.
   [[nodiscard]] std::vector<std::size_t> block_skyline_rows(std::size_t b) const;
 

@@ -1,6 +1,7 @@
 #include "src/dataset/source.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/error.hpp"
 #include "src/dataset/block_store.hpp"
@@ -148,6 +149,36 @@ std::string BlockStoreSource::describe() const {
   return "block store " + store_->path() + ": " + std::to_string(store_->rows()) + " x " +
          std::to_string(store_->dim()) + "d in " + std::to_string(store_->block_count()) +
          " blocks";
+}
+
+// ---- Block pruning ---------------------------------------------------------
+
+BlockPrune prune_blocks(const DatasetSource& source, const PointSet& dominators) {
+  MRSKY_REQUIRE(dominators.dim() == source.dim(), "dominators must match the source's dim");
+  const std::size_t dim = source.dim();
+  BlockPrune result;
+  for (std::size_t b = 0; b < source.block_count(); ++b) {
+    const BlockStats stats = source.block_stats(b);
+    bool drop = false;
+    if (stats.has_corners) {
+      for (std::size_t s = 0; !drop && s < dominators.size(); ++s) {
+        const std::span<const double> p = dominators.point(s);
+        bool dominates = true;
+        for (std::size_t a = 0; dominates && a < dim; ++a) {
+          dominates = p[a] < stats.min_corner[a];
+        }
+        drop = dominates;
+      }
+    }
+    if (drop) {
+      ++result.blocks_pruned;
+      result.bytes_pruned += stats.bytes;
+    } else {
+      result.kept.push_back(b);
+      result.bytes_read += stats.bytes;
+    }
+  }
+  return result;
 }
 
 // ---- Whole-file reads and writes ------------------------------------------

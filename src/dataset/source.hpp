@@ -83,7 +83,7 @@ class DatasetSource {
 /// non-owning constructor aliases the caller's set (caller keeps it alive);
 /// the owning constructor moves it in. Virtual blocks of `block_rows` rows
 /// exist so block-oriented consumers still work, but they carry no corners —
-/// an in-memory run never block-prunes, preserving legacy behaviour exactly.
+/// an in-memory run never prunes a block, preserving legacy behaviour exactly.
 class PointSetSource final : public DatasetSource {
  public:
   explicit PointSetSource(const PointSet& ps);
@@ -130,6 +130,23 @@ class BlockStoreSource final : public DatasetSource {
  private:
   std::shared_ptr<const BlockStore> store_;
 };
+
+/// What pre-read block pruning keeps and skips; every block is in exactly one
+/// of the two tallies, so bytes_read + bytes_pruned is the payload total.
+struct BlockPrune {
+  std::vector<std::size_t> kept;  ///< surviving block ids, ascending
+  std::uint64_t blocks_pruned = 0;
+  std::uint64_t bytes_pruned = 0;
+  std::uint64_t bytes_read = 0;
+};
+
+/// The footer-corner prune rule: a block whose min corner is *strictly*
+/// dominated in every attribute by some row of `dominators` holds only
+/// dominated rows, provided each dominator is a real dataset point. Strict
+/// everywhere keeps the rule sound with ties and duplicates (a point sitting
+/// on the corner, or an equal copy of a skyline point, is never dropped). A
+/// block without corners is always kept.
+[[nodiscard]] BlockPrune prune_blocks(const DatasetSource& source, const PointSet& dominators);
 
 /// True iff `path` names a `.mrb` block store. The one place a file name maps
 /// to its format: every other path is CSV.

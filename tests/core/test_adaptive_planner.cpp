@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "src/common/error.hpp"
+#include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/dataset/source.hpp"
 #include "src/partition/factory.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/verify.hpp"
@@ -112,6 +116,29 @@ TEST(AdaptivePlanner, SampleSizeCapsAnalyzedPoints) {
   options.sample_size = 1024;
   const AdaptivePlan plan = AdaptivePlanner(options).plan(ps, MRSkylineConfig{});
   EXPECT_EQ(plan.sample_points, 1024u);
+}
+
+TEST(AdaptivePlanner, BlockSkipPreviewCountsWhatPruneBlocksDrops) {
+  // A Z-ordered anticorrelated .mrb: tight block corners, many of them
+  // strictly dominated by the sample skyline.
+  const auto ps = workload(20000);
+  const std::string path = testing::TempDir() + "/planner_preview.mrb";
+  data::write_block_store(path, ps.select(data::zorder_permutation(ps)), 256);
+  const data::BlockStoreSource source(path);
+  const AdaptivePlannerOptions options = pinned_options();
+  const AdaptivePlan plan = AdaptivePlanner(options).plan(source, MRSkylineConfig{});
+  ASSERT_FALSE(plan.fallback);
+
+  const std::string tag = "block stats: ";
+  const std::size_t at = plan.rationale.find(tag);
+  ASSERT_NE(at, std::string::npos) << plan.rationale;
+  std::size_t k = 0;
+  std::size_t m = 0;
+  ASSERT_EQ(std::sscanf(plan.rationale.c_str() + at + tag.size(), "%zu/%zu", &k, &m), 2);
+  EXPECT_GT(k, 0u);
+  EXPECT_EQ(m, source.block_count());
+  const data::PointSet sample = source.sample(options.sample_size, options.sample_seed);
+  EXPECT_EQ(k, data::prune_blocks(source, skyline::bnl_skyline(sample)).blocks_pruned);
 }
 
 TEST(SchemeAuto, FactoryRejectsAutoAsPartitioner) {

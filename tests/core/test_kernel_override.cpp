@@ -1,50 +1,46 @@
 // The local_skyline_override hook: plugging a custom skyline kernel (here
-// the index-based BBS) into the MapReduce pipeline.
+// SFS, bypassing the local_algorithm enum) into the MapReduce pipeline.
 #include <gtest/gtest.h>
 
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/verify.hpp"
-#include "src/spatial/bbs.hpp"
 
 namespace mrsky::core {
 namespace {
 
 using data::PointSet;
 
-MRSkylineConfig bbs_config() {
+MRSkylineConfig sfs_config() {
   MRSkylineConfig config;
   config.scheme = part::Scheme::kAngular;
   config.servers = 4;
   config.local_skyline_override = [](const PointSet& ps, skyline::SkylineStats* stats) {
-    spatial::BbsReport report;
-    PointSet sky = spatial::bbs_skyline(ps, &report);
-    if (stats != nullptr) *stats += report.stats;
-    return sky;
+    return skyline::sfs_skyline(ps, stats);
   };
   return config;
 }
 
-TEST(KernelOverride, BbsPipelineMatchesBnlPipeline) {
+TEST(KernelOverride, SfsPipelineMatchesBnlPipeline) {
   const PointSet ps = data::generate(data::Distribution::kIndependent, 1500, 4, 21);
   MRSkylineConfig bnl;
   bnl.scheme = part::Scheme::kAngular;
   bnl.servers = 4;
   const auto reference = run_mr_skyline(ps, bnl);
-  const auto bbs = run_mr_skyline(ps, bbs_config());
-  EXPECT_TRUE(skyline::same_ids(reference.skyline, bbs.skyline));
+  const auto sfs = run_mr_skyline(ps, sfs_config());
+  EXPECT_TRUE(skyline::same_ids(reference.skyline, sfs.skyline));
 }
 
 TEST(KernelOverride, MatchesSequentialReference) {
   const PointSet ps = data::generate(data::Distribution::kAnticorrelated, 900, 3, 23);
-  const auto result = run_mr_skyline(ps, bbs_config());
+  const auto result = run_mr_skyline(ps, sfs_config());
   EXPECT_TRUE(skyline::same_ids(result.skyline, skyline::bnl_skyline(ps)));
 }
 
 TEST(KernelOverride, StatsStillChargeWork) {
   const PointSet ps = data::generate(data::Distribution::kIndependent, 800, 3, 25);
-  const auto result = run_mr_skyline(ps, bbs_config());
+  const auto result = run_mr_skyline(ps, sfs_config());
   EXPECT_GT(result.partition_job.reduce_total().work_units, 0u);
   EXPECT_GT(result.merge_job().reduce_total().work_units, 0u);
 }
@@ -70,7 +66,7 @@ TEST(KernelOverride, OverrideTakesPrecedenceOverEnum) {
 
 TEST(KernelOverride, WorksWithTreeMerge) {
   const PointSet ps = data::generate(data::Distribution::kIndependent, 700, 3, 29);
-  auto config = bbs_config();
+  auto config = sfs_config();
   config.merge_fan_in = 4;
   const auto result = run_mr_skyline(ps, config);
   EXPECT_TRUE(skyline::same_ids(result.skyline, skyline::bnl_skyline(ps)));

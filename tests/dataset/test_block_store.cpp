@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/core/mr_skyline.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/io.hpp"
 #include "src/dataset/source.hpp"
@@ -21,6 +23,15 @@ namespace mrsky::data {
 namespace {
 
 std::string temp_path(const std::string& name) { return testing::TempDir() + "/" + name; }
+
+/// Rows of `ps` in ascending-id order, for comparing skylines canonically.
+PointSet by_id(const PointSet& ps) {
+  std::vector<std::size_t> order(ps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return ps.id(a) < ps.id(b); });
+  return ps.select(order);
+}
 
 std::vector<char> read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -261,6 +272,8 @@ TEST(DatasetSource, PointSetSourceIsResidentAndBlocksCoverEverything) {
   EXPECT_EQ(stat_rows, ps.size());
   EXPECT_EQ(reassembled, ps);
   EXPECT_EQ(source.materialize(), ps);
+  // Without corners nothing can be pruned, whatever the dominators.
+  EXPECT_EQ(prune_blocks(source, ps).kept.size(), source.block_count());
 }
 
 TEST(DatasetSource, BlockStoreSourceExposesFooterCorners) {
@@ -282,6 +295,44 @@ TEST(DatasetSource, BlockStoreSourceExposesFooterCorners) {
   }
   EXPECT_GT(bytes, 0u);
   EXPECT_EQ(source.materialize(), ps);
+}
+
+TEST(DatasetSource, PruneBlocksNeverDropsTiesOrDuplicates) {
+  // Two rows per block. B's min corner (1, 3) ties A's point (1, 2) in attribute 0
+  // and is larger in attribute 1; C holds an exact copy of A's skyline point
+  // (2, 1); D's min corner (5, 5) is strictly dominated. Only D may go: a
+  // non-strict rule would drop B and, worse, C's duplicate skyline member.
+  PointSet ps(2);
+  ps.push_back(std::vector<double>{1, 2}, 0);  // A
+  ps.push_back(std::vector<double>{2, 1}, 1);
+  ps.push_back(std::vector<double>{1, 3}, 2);  // B
+  ps.push_back(std::vector<double>{3, 3}, 3);
+  ps.push_back(std::vector<double>{2, 1}, 4);  // C
+  ps.push_back(std::vector<double>{4, 4}, 5);
+  ps.push_back(std::vector<double>{5, 5}, 6);  // D
+  ps.push_back(std::vector<double>{6, 6}, 7);
+  const std::string path = temp_path("src_prune_ties.mrb");
+  write_block_store(path, ps, 2);
+  const BlockStoreSource source(path);
+  ASSERT_EQ(source.block_count(), 4u);
+
+  const PointSet sky = skyline::bnl_skyline(ps);
+  ASSERT_EQ(sorted_ids(sky), (std::vector<PointId>{0, 1, 4}));
+  const BlockPrune prune = prune_blocks(source, sky);
+  EXPECT_EQ(prune.kept, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(prune.blocks_pruned, 1u);
+  EXPECT_EQ(prune.bytes_pruned, source.block_stats(3).bytes);
+
+  // The streamed run prunes D and still reports both copies of (2, 1),
+  // bit for bit what the resident run reports.
+  core::MRSkylineConfig config;
+  config.scheme = part::Scheme::kAngular;
+  config.servers = 2;
+  const auto resident = core::run_mr_skyline(ps, config);
+  const auto streamed = core::run_mr_skyline(source, config);
+  EXPECT_EQ(streamed.partition_job.blocks_pruned, 1u);
+  EXPECT_EQ(sorted_ids(streamed.skyline), (std::vector<PointId>{0, 1, 4}));
+  EXPECT_EQ(by_id(streamed.skyline), by_id(resident.skyline));
 }
 
 TEST(DatasetSource, SampleIsDeterministicBoundedAndReleased) {

@@ -1,7 +1,7 @@
 // Exhaustive small-case testing: enumerate EVERY 2-D dataset with up to four
 // points and coordinates in {0, 1, 2}, and check that all four scan
-// algorithms, the bounded BNL and both index traversals agree with a
-// first-principles dominance check. Randomised suites sample the space;
+// algorithms and the bounded BNL agree with a first-principles dominance
+// check. Randomised suites sample the space;
 // this one covers a small corner of it completely — ties, duplicates and
 // degenerate layouts included, which is where skyline bugs live.
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/bnl_bounded.hpp"
 #include "src/skyline/verify.hpp"
-#include "src/spatial/bbs.hpp"
-#include "src/spatial/nn_skyline.hpp"
 
 namespace mrsky {
 namespace {
@@ -62,8 +60,6 @@ TEST_P(ExhaustiveSmall, AllAlgorithmsMatchReference) {
     check(skyline::dc_skyline(ps), "dc");
     check(skyline::bnl_skyline_bounded(ps, 1), "bnl-bounded-w1");
     check(skyline::bnl_skyline_bounded(ps, 2), "bnl-bounded-w2");
-    check(spatial::bbs_skyline(ps), "bbs");
-    check(spatial::nn_skyline(ps), "nn");
   }
 }
 

@@ -136,7 +136,6 @@ core::MRSkylineConfig config_from(const common::CliArgs& args) {
 
   // Out-of-core knobs (meaningful for .mrb inputs; validate_for rejects a
   // spill budget when the source is resident anyway).
-  config.block_prune = args.get_bool("block-prune", config.block_prune);
   config.run_options.shuffle_spill_bytes =
       static_cast<std::uint64_t>(args.get_int("spill-bytes", 0));
   config.run_options.spill_dir = args.get_string("spill-dir", "");
