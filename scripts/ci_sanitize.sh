@@ -58,10 +58,8 @@ FILTER+=':AdaptivePlanner*:CostModel*:GrowthFactor*:SchemeAuto*:PartitionStats*'
 # Streaming skylines: exact maintenance under deletes/TTL/windows
 # (MaintainedSkyline), the randomized insert/delete/TTL sweep, and — the
 # part that exists FOR TSan — standing subscriptions racing apply_batch
-# publishers and server drain (Subscription*). The service selector keeps
-# one MaintainedSkyline per partition, so its add/remove suites ride along.
+# publishers and server drain (Subscription*).
 FILTER+=':MaintainedSkyline*:*StreamSweep*:Subscription*:NotifyQueue*'
-FILTER+=':SkylineServiceSelector*:RemoveService*:SelectorWith*'
 # Out-of-core block storage (ISSUE 10): mmap'd block reads feeding the
 # threaded pipeline (map tasks touch disjoint blocks concurrently; the
 # verify-once checksum flags are the TSan target), the DatasetSource seam,

@@ -7,8 +7,8 @@
 // local-skyline filtering and the global merge.
 //
 // Convention: every attribute is oriented so that SMALLER IS BETTER
-// (the paper's Fig. 1 semantics). qos::ServiceCatalog performs the benefit→
-// cost flip at ingest.
+// (the paper's Fig. 1 semantics). data::QwsLikeGenerator::orient performs
+// the benefit→cost flip at ingest.
 #pragma once
 
 #include <cstdint>

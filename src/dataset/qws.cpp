@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/common/error.hpp"
 
@@ -101,6 +102,13 @@ PointSet QwsLikeGenerator::orient(const PointSet& raw, const std::vector<QwsAttr
   for (std::size_t i = 0; i < raw.size(); ++i) {
     for (std::size_t a = 0; a < raw.dim(); ++a) {
       const double v = raw.at(i, a);
+      // The range check keeps oriented coordinates non-negative, which the
+      // MR-Angle hyperspherical transform requires.
+      MRSKY_REQUIRE(v >= schema[a].min && v <= schema[a].max,
+                    "attribute '" + schema[a].name + "' value " + std::to_string(v) +
+                        " outside [" + std::to_string(schema[a].min) + ", " +
+                        std::to_string(schema[a].max) + "] at row " + std::to_string(i) +
+                        " (id " + std::to_string(raw.id(i)) + ")");
       values.push_back(schema[a].higher_is_better ? schema[a].max - v : v);
     }
   }

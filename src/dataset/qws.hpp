@@ -71,7 +71,11 @@ class QwsLikeGenerator {
 
   [[nodiscard]] const std::vector<QwsAttribute>& schema() const noexcept { return schema_; }
 
-  /// Flips benefit attributes of a raw set into cost orientation.
+  /// Flips benefit attributes of a raw set into cost orientation. This is
+  /// also the load path for real QWS data: export it as an `id,<attribute...>`
+  /// CSV in qws_schema order, read it with data::read_points and orient it
+  /// here. Throws InvalidArgument, naming the attribute and the row, when a
+  /// value lies outside its schema [min, max].
   [[nodiscard]] static PointSet orient(const PointSet& raw,
                                        const std::vector<QwsAttribute>& schema);
 

@@ -15,7 +15,7 @@
 // Everything exported here is TIER 1 — the stable surface: breaking changes
 // land with a deprecation path. Headers under src/ that are not pulled in
 // here (the MapReduce engine internals beyond what core re-exports, the
-// geometry/partition implementation headers, qos) are TIER 2 —
+// geometry/partition implementation headers) are TIER 2 —
 // usable, tested, but free to change shape between versions. See DESIGN.md
 // decision 11 for the full tier definition and the promotion rule.
 #pragma once

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
 #include "src/common/stats.hpp"
+#include "src/dataset/source.hpp"
 
 namespace mrsky::data {
 namespace {
@@ -99,6 +102,40 @@ TEST(QwsLikeGenerator, OrientRejectsSchemaMismatch) {
   QwsLikeGenerator gen(3, 5);
   const PointSet raw = gen.generate_raw(5);
   EXPECT_THROW(QwsLikeGenerator::orient(raw, qws_schema(2)), InvalidArgument);
+}
+
+// The real-QWS load path: an `id,<attribute...>` CSV in qws_schema order,
+// read with read_points and oriented against the schema.
+TEST(QwsLoad, CsvRoundTripThenOrientMatchesGeneratedOriented) {
+  const std::string path = testing::TempDir() + "/qws_load_roundtrip.csv";
+  write_points(path, QwsLikeGenerator(9, 29).generate_raw(500));
+  const PointSet loaded = QwsLikeGenerator::orient(read_points(path), qws_schema(9));
+  EXPECT_EQ(loaded, QwsLikeGenerator(9, 29).generate_oriented(500));  // ids and bits
+}
+
+TEST(QwsLoad, OutOfRangeValueThrowsNamingTheAttribute) {
+  const auto schema = qws_schema(3);  // ResponseTime (cost), Availability, Throughput
+  auto load = [&](const std::string& name, const std::string& row) {
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream(path) << "id,ResponseTime,Availability,Throughput\n"
+                        << "0,100,99,10\n"
+                        << row << "\n";
+    return QwsLikeGenerator::orient(read_points(path), schema);
+  };
+  EXPECT_EQ(load("qws_load_ok.csv", "1,37,7,43.1").size(), 2u);  // bounds are inclusive
+  auto expect_rejected = [&](const std::string& name, const std::string& row,
+                             const std::string& attribute) {
+    try {
+      (void)load(name, row);
+      ADD_FAILURE() << "no throw for " << attribute;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + attribute + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("row 1 (id 7)"), std::string::npos) << what;
+    }
+  };
+  expect_rejected("qws_load_benefit_high.csv", "7,100,100.5,10", "Availability");  // > max
+  expect_rejected("qws_load_cost_low.csv", "7,36.9,99,10", "ResponseTime");       // < min
 }
 
 TEST(QwsLikeGenerator, QualityCorrelationLinksBenefitAttributes) {

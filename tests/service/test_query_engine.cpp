@@ -241,6 +241,75 @@ TEST(QueryEngine, RepeatedInsertsKeepFoldExact) {
   EXPECT_EQ(engine.stats().pipeline_runs, 1u);  // everything after run 1 was maintained
 }
 
+/// Asserts that a published snapshot carries exactly the skyline of its live
+/// points, against the all-pairs oracle.
+void expect_exact_skyline(const service::ApplyResult& r, const std::string& label) {
+  ASSERT_TRUE(r.snapshot->full_skyline) << label;
+  EXPECT_EQ(data::sorted_ids(*r.snapshot->full_skyline),
+            data::sorted_ids(skyline::naive_skyline(*r.snapshot->dataset)))
+      << label;
+}
+
+TEST(QueryEngine, DeleteAfterPipelineSkylineEveryScheme) {
+  // The live registry under every partitioning scheme: a pipeline-computed
+  // skyline, then deregistrations of skyline members. Deleting a member must
+  // promote exactly the points only it dominated.
+  for (const part::Scheme scheme : {part::Scheme::kDimensional, part::Scheme::kGrid,
+                                    part::Scheme::kAngular, part::Scheme::kPivot,
+                                    part::Scheme::kRandom}) {
+    const std::string label = part::to_string(scheme);
+    service::QueryEngineOptions options;
+    options.config.scheme = scheme;
+    options.config.servers = 2;
+    service::QueryEngine engine(workload(400, 3, 31), options);
+    const auto sky = engine.execute(service::SkylineQuery{});
+    ASSERT_EQ(engine.stats().pipeline_runs, 1u) << label;
+
+    // Every other member of the pipeline's skyline, then the first three
+    // members of the maintained one (promoted points included).
+    service::MutationBatch first;
+    for (std::size_t i = 0; i < sky.points.size(); i += 2) first.deletes.push_back(sky.points.id(i));
+    const service::ApplyResult r1 = engine.apply_batch(first);
+    EXPECT_EQ(r1.delta.deleted, first.deletes.size()) << label;
+    expect_exact_skyline(r1, label + " round 1");
+
+    service::MutationBatch second;
+    const data::PointSet& live_sky = *r1.snapshot->full_skyline;
+    for (std::size_t i = 0; i < live_sky.size() && i < 3; ++i) {
+      second.deletes.push_back(live_sky.id(i));
+    }
+    const service::ApplyResult r2 = engine.apply_batch(second);
+    expect_exact_skyline(r2, label + " round 2");
+
+    const auto after = engine.execute(service::SkylineQuery{});
+    EXPECT_EQ(bits_of(after.points), bits_of(*r2.snapshot->full_skyline)) << label;
+    EXPECT_EQ(engine.stats().pipeline_runs, 1u) << label;  // deletes never re-ran it
+  }
+
+  // MR-Grid with a dominating cell of ONE point: the pipeline prunes the
+  // cells it dominates, and deleting that point must let them resurface.
+  data::PointSet ps(2);
+  ps.push_back(std::vector<double>{100.0, 1.0}, 0);    // dominator, near-origin cell
+  ps.push_back(std::vector<double>{4800.0, 90.0}, 1);  // far cell
+  ps.push_back(std::vector<double>{4900.0, 91.0}, 2);  // far cell
+  ps.push_back(std::vector<double>{4989.0, 0.1}, 3);   // pins so the grid spans
+  ps.push_back(std::vector<double>{37.0, 93.0}, 4);    // the full range
+  service::QueryEngineOptions options;
+  options.config.scheme = part::Scheme::kGrid;
+  options.config.servers = 2;
+  options.config.num_partitions = 4;
+  service::QueryEngine engine(ps, options);
+  EXPECT_EQ(data::sorted_ids(engine.execute(service::SkylineQuery{}).points),
+            (std::vector<data::PointId>{0, 3, 4}));
+  for (const data::PointId id : {4u, 0u}) {
+    service::MutationBatch batch;
+    batch.deletes = {id};
+    expect_exact_skyline(engine.apply_batch(batch), "grid delete " + std::to_string(id));
+  }
+  EXPECT_EQ(data::sorted_ids(engine.execute(service::SkylineQuery{}).points),
+            (std::vector<data::PointId>{1, 3}));
+}
+
 TEST(QueryEngine, SequentialAndThreadedEnginesAgreeBitwise) {
   const auto ps = workload(280, 4, 77);
   const auto extra = workload(70, 4, 78);
