@@ -7,6 +7,13 @@
 
 namespace mrsky::common {
 
+namespace {
+
+/// The pool whose worker loop runs on this thread; nullptr off-pool.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   MRSKY_REQUIRE(num_threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(num_threads);
@@ -27,6 +34,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -42,6 +50,10 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
+  if (current_pool == this) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
   // Chunked dynamic scheduling: workers pull the next index atomically. Every
   // lane is joined before returning — even on failure — because `fn` is only
   // borrowed from the caller; a lane must never outlive this call. When one

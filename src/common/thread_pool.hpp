@@ -46,7 +46,10 @@ class ThreadPool {
   /// Run `fn(i)` for i in [0, count) across the pool and wait for completion.
   /// If any invocation throws, the remaining indices are abandoned, every lane
   /// is still joined, and exactly one exception (the first observed) is
-  /// rethrown — the pool stays fully usable afterwards.
+  /// rethrown — the pool stays fully usable afterwards. Called from one of
+  /// this pool's own workers (a nested parallel_for), it runs the indices
+  /// inline on that worker instead: blocking on lanes only sibling workers
+  /// could run would deadlock once every worker waits the same way.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -63,5 +66,15 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Runs `fn(i)` for i in [0, count), on `pool` when given, else inline.
+inline void for_each_index(std::size_t count, ThreadPool* pool,
+                           const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  pool->parallel_for(count, fn);
+}
 
 }  // namespace mrsky::common

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -35,7 +37,7 @@ struct FitAnalysis {
 // One reduce-key's worth of predicted merge input. Salted sub-keys of the
 // same partition share the partition's sample skyline.
 struct MergeNode {
-  const data::PointSet* sample_sky = nullptr;
+  std::size_t sample_sky = 0;      ///< source id in the fit's BucketSkylines
   double sample_underlying = 0.0;  ///< sample points behind this node
   double full_sky = 0.0;           ///< predicted full-scale skyline records
   double full_underlying = 0.0;    ///< predicted full-scale points
@@ -47,20 +49,48 @@ double growth(double sample_n, double full_n, std::size_t dim) {
   return skyline_growth_factor(s, f, dim);
 }
 
-// Union of member sample skylines with id-dedup: salted sub-nodes of one
-// partition all point at the same skyline, and double-counting it would
-// inflate the merge-output estimate.
-data::PointSet dedup_union(const std::vector<const MergeNode*>& members, std::size_t dim) {
-  data::PointSet u(dim);
-  std::unordered_set<std::uint64_t> seen;
-  for (const MergeNode* node : members) {
-    const data::PointSet& sky = *node->sample_sky;
-    for (std::size_t i = 0; i < sky.size(); ++i) {
-      if (seen.insert(sky.id(i)).second) u.push_back(sky.point(i), sky.id(i));
-    }
+// The sample skylines one fit's merge cascades read, each computed once.
+// Source ids 0..P-1 are the fit's per-partition sample skylines; every merge
+// bucket skyline gets the next id. A bucket is keyed by its distinct member
+// sources in first-appearance order, which is all its id-deduplicated union
+// depends on: a salted candidate's fan-in-0 bucket, for one, is the same
+// union as its unsalted twin's.
+class BucketSkylines {
+ public:
+  explicit BucketSkylines(const FitAnalysis& fa) {
+    for (const data::PointSet& sky : fa.part_sample_sky) sources_.push_back(&sky);
   }
-  return u;
-}
+
+  // Source id of the skyline of the union of `members`' sample skylines.
+  // Union with id-dedup: salted sub-nodes of one partition all point at the
+  // same skyline, and double-counting it would inflate the merge-output
+  // estimate.
+  std::size_t merge(const std::vector<std::size_t>& members, std::size_t dim) {
+    std::vector<std::size_t> key;
+    for (const std::size_t m : members) {
+      if (std::find(key.begin(), key.end(), m) == key.end()) key.push_back(m);
+    }
+    if (const auto it = index_.find(key); it != index_.end()) return it->second;
+    data::PointSet unioned(dim);
+    std::unordered_set<std::uint64_t> seen;
+    for (const std::size_t m : key) {
+      const data::PointSet& sky = *sources_[m];
+      for (std::size_t i = 0; i < sky.size(); ++i) {
+        if (seen.insert(sky.id(i)).second) unioned.push_back(sky.point(i), sky.id(i));
+      }
+    }
+    owned_.push_back(skyline::sfs_skyline(unioned));
+    sources_.push_back(&owned_.back());
+    return index_.emplace(std::move(key), sources_.size() - 1).first->second;
+  }
+
+  [[nodiscard]] std::size_t size(std::size_t source) const { return sources_[source]->size(); }
+
+ private:
+  std::vector<const data::PointSet*> sources_;
+  std::deque<data::PointSet> owned_;  // stable addresses for sources_
+  std::map<std::vector<std::size_t>, std::size_t> index_;
+};
 
 std::size_t worker_lanes(const MRSkylineConfig& config) {
   if (config.run_options.mode != mr::ExecutionMode::kThreads) return 1;
@@ -72,10 +102,11 @@ std::size_t worker_lanes(const MRSkylineConfig& config) {
 // Returns nullopt for a salted variant in which no partition actually
 // splits (every k_p == 1): it would be an exact duplicate of the unsalted
 // candidate — same plan, same prediction — and only bloat the table.
-std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, std::size_t merge_fan_in, bool salted,
-                              const MRSkylineConfig& base, std::size_t full_n, std::size_t dim,
-                              std::size_t sample_n, std::size_t lanes,
-                              const CostConstants& c) {
+std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, BucketSkylines& buckets,
+                                             std::size_t merge_fan_in, bool salted,
+                                             const MRSkylineConfig& base, std::size_t full_n,
+                                             std::size_t dim, std::size_t sample_n,
+                                             std::size_t lanes, const CostConstants& c) {
   PlanCandidate cand;
   cand.scheme = fa.scheme;
   cand.partitions = fa.partitions;
@@ -115,9 +146,8 @@ std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, std::size_t 
         std::min(sub_full, sky_sample * growth(part_sample, sub_full, dim));
     for (std::size_t s = 0; s < salt_count; ++s) {
       local_tasks.push_back(sub_full * std::max(sub_sky, 1.0) * c.seconds_per_dominance_test);
-      nodes.push_back(MergeNode{&fa.part_sample_sky[i],
-                                part_sample / static_cast<double>(salt_count), sub_sky,
-                                sub_full});
+      nodes.push_back(
+          MergeNode{i, part_sample / static_cast<double>(salt_count), sub_sky, sub_full});
     }
   }
   if (salted && !any_split) return std::nullopt;
@@ -131,7 +161,6 @@ std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, std::size_t 
   // job with its own shuffle and fixed overhead. Bucket outputs are the
   // *actual* skylines of the unioned sample skylines, scaled to full size.
   if (!nodes.empty()) {
-    std::vector<data::PointSet> round_storage;  // keeps sample skylines alive
     bool first_round = true;
     while (nodes.size() > 1 || first_round) {
       first_round = false;
@@ -139,34 +168,28 @@ std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, std::size_t 
           merge_fan_in < 2 ? nodes.size() : std::min(merge_fan_in, nodes.size());
       std::vector<double> bucket_costs;
       std::vector<MergeNode> next;
-      std::vector<data::PointSet> next_storage;
       double round_input = 0.0;
       for (std::size_t start = 0; start < nodes.size(); start += fan) {
         const std::size_t end = std::min(start + fan, nodes.size());
-        std::vector<const MergeNode*> members;
+        std::vector<std::size_t> members;
         double in_full = 0.0, und_full = 0.0, und_sample = 0.0;
         for (std::size_t i = start; i < end; ++i) {
-          members.push_back(&nodes[i]);
+          members.push_back(nodes[i].sample_sky);
           in_full += nodes[i].full_sky;
           und_full += nodes[i].full_underlying;
           und_sample += nodes[i].sample_underlying;
         }
-        data::PointSet unioned = dedup_union(members, dim);
-        data::PointSet out_sample = skyline::compute_skyline(unioned, skyline::Algorithm::kBnl);
+        const std::size_t out_sample = buckets.merge(members, dim);
         const double out_full =
-            std::min(in_full, static_cast<double>(out_sample.size()) *
+            std::min(in_full, static_cast<double>(buckets.size(out_sample)) *
                                   growth(und_sample, und_full, dim));
         bucket_costs.push_back(in_full * std::max(out_full, 1.0) *
                                c.seconds_per_dominance_test);
         round_input += in_full;
-        next_storage.push_back(std::move(out_sample));
-        next.push_back(MergeNode{nullptr, und_sample, out_full, und_full});
+        next.push_back(MergeNode{out_sample, und_sample, out_full, und_full});
       }
-      for (std::size_t i = 0; i < next.size(); ++i) next[i].sample_sky = &next_storage[i];
       cand.merge_seconds += mr::lpt_makespan(bucket_costs, lanes) + c.seconds_per_job +
                             round_input * c.seconds_per_shuffle_record;
-      round_storage = std::move(next_storage);
-      for (std::size_t i = 0; i < next.size(); ++i) next[i].sample_sky = &round_storage[i];
       nodes = std::move(next);
     }
   } else {
@@ -184,6 +207,43 @@ MRSkylineConfig resolve(const MRSkylineConfig& base, part::Scheme scheme,
   resolved.salt_oversized_partitions = salted;
   resolved.prepared_partitioner = nullptr;
   return resolved;
+}
+
+// Sample-scale analysis of one (scheme, Np), or nullopt when it is not a
+// candidate: the pipeline would reject the combination, the scheme cannot
+// fit this sample, or every partition is empty or pruned.
+std::optional<FitAnalysis> analyze_fit(part::Scheme scheme, std::size_t np,
+                                       const data::PointSet& sample,
+                                       const MRSkylineConfig& base) {
+  if (!resolve(base, scheme, np, 0, false).validate().empty()) return std::nullopt;
+  FitAnalysis fa;
+  fa.scheme = scheme;
+  fa.partitions = np;
+  try {
+    part::PartitionerOptions popts;
+    popts.num_partitions = np;
+    popts.split_dim = base.split_dim;
+    const part::PartitionerPtr partitioner = part::make_partitioner(scheme, popts);
+    partitioner->fit(sample);
+    const part::PartitionReport report = part::analyze_partitioning(*partitioner, sample);
+    fa.balance_cv = report.balance_cv;
+    fa.prunable_fraction =
+        !sample.empty() && base.apply_grid_pruning
+            ? static_cast<double>(report.pruned_points) / static_cast<double>(sample.size())
+            : 0.0;
+    std::vector<data::PointSet> parts = part::split_by_partition(*partitioner, sample);
+    std::unordered_set<std::size_t> pruned;
+    if (base.apply_grid_pruning) pruned.insert(report.prunable.begin(), report.prunable.end());
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      if (parts[p].empty() || pruned.count(p) != 0) continue;
+      fa.part_sample_n.push_back(parts[p].size());
+      fa.part_sample_sky.push_back(skyline::sfs_skyline(parts[p]));
+    }
+  } catch (const std::exception&) {
+    return std::nullopt;  // a scheme that cannot fit this sample is not a candidate
+  }
+  if (fa.part_sample_n.empty()) return std::nullopt;
+  return fa;
 }
 
 AdaptivePlan heuristic_fallback(std::size_t n, std::size_t dim, const MRSkylineConfig& base,
@@ -272,7 +332,8 @@ AdaptivePlan AdaptivePlanner::plan(const data::DatasetSource& source,
   // 1. Sample — block-proportional systematic draw, deterministic in
   // (seed, layout); nothing is materialised.
   const std::size_t target = options_.sample_size > 0 ? std::min(options_.sample_size, n) : n;
-  const data::PointSet sample = source.sample(target, options_.sample_seed);
+  const data::PointSet sample =
+      source.sample(target, options_.sample_seed, mr::borrowed_pool(base.run_options));
   AdaptivePlan plan = plan_on_sample(sample, n, dim, base);
 
   // 4. Block-skip preview: discount the map and shuffle phases by the
@@ -314,11 +375,12 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
   const CostConstants constants =
       options_.constants ? *options_.constants : CostModel::process().constants();
   const std::size_t lanes = worker_lanes(base);
+  common::ThreadPool* const pool = mr::borrowed_pool(base.run_options);
 
   // 2. Analyze — fit each (scheme, Np) on the sample once and compute the
   // actual per-partition sample skylines; every fan-in/salting variant is
-  // priced from the same analysis.
-  std::vector<FitAnalysis> analyses;
+  // priced from the same analysis. Fits are independent, so they run on the
+  // job's lanes into index-addressed slots, collected in enumeration order.
   std::vector<std::size_t> partition_counts;
   for (const std::size_t per_server : options_.partitions_per_server) {
     const std::size_t np = std::max<std::size_t>(1, per_server * std::max<std::size_t>(1, base.servers));
@@ -327,42 +389,15 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
       partition_counts.push_back(np);
     }
   }
-  for (const part::Scheme scheme : options_.schemes) {
-    for (const std::size_t np : partition_counts) {
-      // Reject combinations the pipeline itself would reject.
-      if (!resolve(base, scheme, np, 0, false).validate().empty()) continue;
-      FitAnalysis fa;
-      fa.scheme = scheme;
-      fa.partitions = np;
-      try {
-        part::PartitionerOptions popts;
-        popts.num_partitions = np;
-        popts.split_dim = base.split_dim;
-        const part::PartitionerPtr partitioner = part::make_partitioner(scheme, popts);
-        partitioner->fit(sample);
-        const part::PartitionReport report = part::analyze_partitioning(*partitioner, sample);
-        fa.balance_cv = report.balance_cv;
-        fa.prunable_fraction =
-            sample_n > 0 && base.apply_grid_pruning
-                ? static_cast<double>(report.pruned_points) / static_cast<double>(sample_n)
-                : 0.0;
-        std::vector<data::PointSet> parts = part::split_by_partition(*partitioner, sample);
-        std::unordered_set<std::size_t> pruned;
-        if (base.apply_grid_pruning) {
-          pruned.insert(report.prunable.begin(), report.prunable.end());
-        }
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-          if (parts[p].empty() || pruned.count(p) != 0) continue;
-          fa.part_sample_n.push_back(parts[p].size());
-          fa.part_sample_sky.push_back(
-              skyline::compute_skyline(parts[p], skyline::Algorithm::kBnl));
-        }
-      } catch (const std::exception&) {
-        continue;  // a scheme that cannot fit this sample is not a candidate
-      }
-      if (fa.part_sample_n.empty()) continue;
-      analyses.push_back(std::move(fa));
-    }
+  const std::size_t np_count = partition_counts.size();
+  std::vector<std::optional<FitAnalysis>> fits(options_.schemes.size() * np_count);
+  common::for_each_index(fits.size(), pool, [&](std::size_t f) {
+    fits[f] = analyze_fit(options_.schemes[f / np_count], partition_counts[f % np_count], sample,
+                          base);
+  });
+  std::vector<FitAnalysis> analyses;
+  for (std::optional<FitAnalysis>& fa : fits) {
+    if (fa) analyses.push_back(std::move(*fa));
   }
 
   if (analyses.empty()) {
@@ -373,19 +408,26 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
   }
 
   // 3. Optimize — price every (scheme, Np, fan-in, salting) candidate and
-  // keep them all (cheapest first) for the rationale and `mrsky plan`.
+  // keep them all (cheapest first) for the rationale and `mrsky plan`. One
+  // task per (fit, fan-in) prices both salting variants over one shared
+  // BucketSkylines; slots are collected in (fit, fan-in, salting) order.
+  const std::size_t fan_count = options_.merge_fan_ins.size();
+  std::vector<std::optional<PlanCandidate>> priced(analyses.size() * fan_count * 2);
+  common::for_each_index(analyses.size() * fan_count, pool, [&](std::size_t task) {
+    const FitAnalysis& fa = analyses[task / fan_count];
+    const std::size_t fan = options_.merge_fan_ins[task % fan_count];
+    BucketSkylines buckets(fa);
+    for (const bool salted : {false, true}) {
+      if (salted && !options_.consider_salting) continue;
+      if (!resolve(base, fa.scheme, fa.partitions, fan, salted).validate().empty()) continue;
+      priced[task * 2 + (salted ? 1 : 0)] =
+          price_candidate(fa, buckets, fan, salted, base, n, dim, sample_n, lanes, constants);
+    }
+  });
   AdaptivePlan plan;
   plan.sample_points = sample_n;
-  for (const FitAnalysis& fa : analyses) {
-    for (const std::size_t fan : options_.merge_fan_ins) {
-      for (const bool salted : {false, true}) {
-        if (salted && !options_.consider_salting) continue;
-        if (!resolve(base, fa.scheme, fa.partitions, fan, salted).validate().empty()) continue;
-        if (auto cand = price_candidate(fa, fan, salted, base, n, dim, sample_n, lanes, constants)) {
-          plan.candidates.push_back(*cand);
-        }
-      }
-    }
+  for (const std::optional<PlanCandidate>& cand : priced) {
+    if (cand) plan.candidates.push_back(*cand);
   }
   if (plan.candidates.empty()) {
     AdaptivePlan fb = heuristic_fallback(n, dim, base, "no priced candidate validated");

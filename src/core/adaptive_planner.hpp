@@ -117,6 +117,11 @@ class AdaptivePlanner {
   /// sampling, pruning toggle …) and is copied into the result with the
   /// decided fields (scheme, num_partitions, merge_fan_in, salting)
   /// overwritten. `base.scheme` may be kAuto; the result's never is.
+  ///
+  /// Under ExecutionMode::kThreads with a `base.run_options.pool`, the
+  /// per-(scheme, Np) sample fits and the candidate pricing run on that
+  /// pool; the plan (every candidate, the choice, the rationale) is bitwise
+  /// the one planned serially for the same worker-lane count.
   [[nodiscard]] AdaptivePlan plan(const data::PointSet& input,
                                   const MRSkylineConfig& base) const;
 

@@ -175,6 +175,26 @@ void throw_if_invalid(const std::vector<std::string>& errors) {
   throw InvalidArgument(message);
 }
 
+/// True when a kThreads job has no caller-owned pool yet.
+bool needs_job_pool(const MRSkylineConfig& config) {
+  return config.run_options.mode == mr::ExecutionMode::kThreads &&
+         config.run_options.pool == nullptr;
+}
+
+/// Runs `run` on a copy of `config` carrying the job's one persistent pool,
+/// created here once, so planning, the partition count, job 1 and every
+/// merge round share it instead of paying thread start-up per phase.
+template <typename Run>
+MRSkylineResult run_on_job_pool(const MRSkylineConfig& config, const Run& run) {
+  const std::size_t threads = config.run_options.num_threads == 0
+                                  ? common::ThreadPool::default_concurrency()
+                                  : config.run_options.num_threads;
+  common::ThreadPool pool(threads);
+  MRSkylineConfig pooled = config;
+  pooled.run_options.pool = &pool;
+  return run(pooled);
+}
+
 /// The shared pipeline body — job 1 (partition + local skyline) and the
 /// merge cascade — generic over the input view (PointSetInput streams a
 /// resident PointSet, BlockInput streams a DatasetSource's surviving
@@ -188,20 +208,7 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
                   const std::unordered_set<std::size_t>& pruned,
                   const MRSkylineConfig& config, MRSkylineResult& result) {
   common::TraceRecorder* const trace = config.run_options.trace;
-
-  // One persistent worker pool for the whole pipeline: created once here
-  // (only when the caller asked for kThreads without supplying their own)
-  // and reused by job 1 and every merge round, instead of paying thread
-  // start-up per engine phase.
   mr::RunOptions run_opts = config.run_options;
-  std::unique_ptr<common::ThreadPool> pipeline_pool;
-  if (run_opts.mode == mr::ExecutionMode::kThreads && run_opts.pool == nullptr) {
-    const std::size_t threads = run_opts.num_threads == 0
-                                    ? common::ThreadPool::default_concurrency()
-                                    : run_opts.num_threads;
-    pipeline_pool = std::make_unique<common::ThreadPool>(threads);
-    run_opts.pool = pipeline_pool.get();
-  }
 
   // Optional skew cure: hash-salt oversized partitions into sub-keys, one
   // reduce task each (MRSkylineConfig::salt_oversized_partitions). Key space
@@ -469,6 +476,10 @@ mr::PhaseTimes MRSkylineResult::simulate(const mr::ClusterModel& model) const {
 MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfig& config) {
   config.validate_or_throw();
   MRSKY_REQUIRE(!input.empty(), "cannot compute the skyline of an empty dataset");
+  if (needs_job_pool(config)) {
+    return run_on_job_pool(
+        config, [&](const MRSkylineConfig& pooled) { return run_mr_skyline(input, pooled); });
+  }
 
   // scheme=auto: resolve the configuration through the adaptive planner,
   // then run the pipeline with the winner. A prepared partitioner bypasses
@@ -557,7 +568,13 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   }
 
   MRSkylineResult result;
-  result.partition_report = part::analyze_partitioning(*partitioner, input);
+  {
+    common::ScopedSpan count_span(trace, "partition-count", "plan");
+    count_span.arg("rows", input.size());
+    count_span.arg("blocks", 0);
+    result.partition_report =
+        part::analyze_partitioning(*partitioner, input, mr::borrowed_pool(config.run_options));
+  }
 
   run_pipeline(PointSetInput{&input}, input.size(), dim, *partitioner, partitions, pruned,
                config, result);
@@ -576,6 +593,10 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
     return run_mr_skyline(*resident, config);
   }
   MRSKY_REQUIRE(source.size() > 0, "cannot compute the skyline of an empty dataset");
+  if (needs_job_pool(config)) {
+    return run_on_job_pool(
+        config, [&](const MRSkylineConfig& pooled) { return run_mr_skyline(source, pooled); });
+  }
 
   // scheme=auto, streamed: the planner samples the source block by block and
   // discounts map/shuffle costs by the predicted block-pruning savings.
@@ -634,8 +655,13 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   // still exact; only partition boundaries shift.
   const std::size_t sample_target =
       config.fit_sample_size > 0 ? config.fit_sample_size : kOutOfCoreFitSample;
-  const data::PointSet fit_sample =
-      source.sample(std::min(sample_target, source.size()), config.fit_sample_seed);
+  data::PointSet fit_sample(dim);
+  {
+    common::ScopedSpan sample_span(trace, "fit-sample", "plan");
+    fit_sample = source.sample(std::min(sample_target, source.size()), config.fit_sample_seed,
+                               mr::borrowed_pool(config.run_options));
+    sample_span.arg("rows", fit_sample.size());
+  }
 
   part::PartitionerPtr owned_partitioner;
   const part::Partitioner* partitioner = config.prepared_partitioner;
@@ -663,7 +689,13 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   }
 
   MRSkylineResult result;
-  result.partition_report = part::analyze_partitioning(*partitioner, source);
+  {
+    common::ScopedSpan count_span(trace, "partition-count", "plan");
+    count_span.arg("rows", source.size());
+    count_span.arg("blocks", source.block_count());
+    result.partition_report =
+        part::analyze_partitioning(*partitioner, source, mr::borrowed_pool(config.run_options));
+  }
 
   // Pre-shuffle block pruning (data::prune_blocks): a block whose min corner
   // is strictly dominated by a sample-skyline point — a real dataset point —

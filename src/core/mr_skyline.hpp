@@ -80,8 +80,9 @@ struct MRSkylineConfig {
 
   /// Engine execution (sequential by default; results identical either way).
   /// Under kThreads the pipeline creates one persistent worker pool and
-  /// reuses it across job 1 and every merge round; set run_options.pool to
-  /// share a caller-owned pool across many run_mr_skyline calls instead.
+  /// reuses it for scheme=auto planning, the partition count, job 1 and
+  /// every merge round; set run_options.pool to share a caller-owned pool
+  /// across many run_mr_skyline calls instead.
   mr::RunOptions run_options;
 
   /// Skew cure (extension): split any partition whose population exceeds

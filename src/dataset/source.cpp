@@ -4,6 +4,7 @@
 #include <span>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/io.hpp"
 
@@ -24,26 +25,32 @@ namespace {
 
 // ---- DatasetSource defaults ------------------------------------------------
 
-PointSet DatasetSource::sample(std::size_t target, std::uint64_t seed) const {
+PointSet DatasetSource::sample(std::size_t target, std::uint64_t seed,
+                               common::ThreadPool* pool) const {
   const std::size_t total = size();
   PointSet out(dim());
   if (total == 0) return out;
   if (target >= total) return materialize();
-  out.reserve(target);
 
   // Proportional per-block quotas via the telescoping floor trick:
   // quota_b = floor(seen_after * t / n) - floor(seen_before * t / n), which
   // sums to exactly t and never exceeds a block's row count.
-  PointSet scratch(dim());
+  std::vector<std::size_t> block_rows(block_count(), 0);
+  std::vector<std::size_t> quota(block_count(), 0);
   std::size_t seen = 0;
   for (std::size_t b = 0; b < block_count(); ++b) {
-    const std::size_t rows = block_stats(b).rows;
+    block_rows[b] = block_stats(b).rows;
     const std::size_t before = seen * target / total;
-    seen += rows;
-    const std::size_t take = seen * target / total - before;
-    if (take == 0) continue;
-    scratch.clear();
+    seen += block_rows[b];
+    quota[b] = seen * target / total - before;
+  }
+  std::vector<PointSet> picks(block_count(), PointSet(dim()));
+  common::for_each_index(block_count(), pool, [&](std::size_t b) {
+    const std::size_t take = quota[b];
+    if (take == 0) return;
+    PointSet scratch(dim());
     read_block(b, scratch);
+    const std::size_t rows = block_rows[b];
     MRSKY_ASSERT(scratch.size() == rows, "block_stats rows disagree with read_block");
     // Evenly spaced offsets, shifted by a seed+block hash so different seeds
     // see different rows; stride >= 1 keeps picks distinct and in range.
@@ -51,12 +58,15 @@ PointSet DatasetSource::sample(std::size_t target, std::uint64_t seed) const {
     const std::size_t shift = stride > 1 ? splitmix64(seed ^ (b * 0x9e3779b97f4a7c15ULL)) %
                                                stride
                                          : 0;
+    picks[b].reserve(take);
     for (std::size_t r = 0; r < take; ++r) {
       const std::size_t pos = std::min(r * stride + shift, rows - 1);
-      out.push_back(scratch.point(pos), scratch.id(pos));
+      picks[b].push_back(scratch.point(pos), scratch.id(pos));
     }
     release_block(b);
-  }
+  });
+  out.reserve(target);
+  for (const PointSet& p : picks) out.append_rows(p.raw(), p.ids());
   return out;
 }
 

@@ -25,6 +25,10 @@
 #include "src/dataset/parse_report.hpp"
 #include "src/dataset/point_set.hpp"
 
+namespace mrsky::common {
+class ThreadPool;
+}
+
 namespace mrsky::data {
 
 class BlockStore;
@@ -68,8 +72,11 @@ class DatasetSource {
   /// (largest-remainder, so quotas sum to target), rows at evenly spaced
   /// in-block offsets with a seed-derived shift. Touches only blocks with a
   /// non-zero quota and releases each afterwards, so sampling a file never
-  /// materialises it. Returns everything when target >= size().
-  [[nodiscard]] virtual PointSet sample(std::size_t target, std::uint64_t seed) const;
+  /// materialises it. Returns everything when target >= size(). With a
+  /// `pool`, blocks are read on its lanes and their picks concatenated in
+  /// block order: the sample is identical.
+  [[nodiscard]] PointSet sample(std::size_t target, std::uint64_t seed,
+                                common::ThreadPool* pool = nullptr) const;
 
   /// The whole dataset as one PointSet (the compatibility path for consumers
   /// that genuinely need residency, e.g. QueryEngine serving).

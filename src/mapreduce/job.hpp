@@ -143,6 +143,12 @@ struct RunOptions {
   common::CancellationToken cancel;
 };
 
+/// The caller-owned pool `opts` runs on under kThreads; nullptr in
+/// sequential mode or when no pool was handed in.
+inline common::ThreadPool* borrowed_pool(const RunOptions& opts) noexcept {
+  return opts.mode == ExecutionMode::kThreads ? opts.pool : nullptr;
+}
+
 /// How many input units a task attempt executes between cancellation polls.
 /// An armed poll is two atomic loads plus a steady_clock read (~tens of ns),
 /// so striding keeps the overhead invisible even for trivial map functions
@@ -471,16 +477,6 @@ inline std::vector<std::size_t> split_offsets(std::size_t n, std::size_t num_spl
   return offsets;
 }
 
-/// Runs `fn(i)` for i in [0, count), on `pool` when given, else inline.
-inline void for_each_task(std::size_t count, common::ThreadPool* pool,
-                          const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  pool->parallel_for(count, fn);
-}
-
 }  // namespace detail
 
 /// A reduce-less job (Hadoop's numReduceTasks = 0): map output is the job
@@ -512,7 +508,7 @@ JobResult<OutK, OutV> run_map_only(const MapOnlyConfig<InK, InV, OutK, OutV>& co
   const detail::EnginePool pool(opts);
   const auto offsets = detail::split_offsets(input.size(), config.num_map_tasks);
   std::vector<std::vector<KV<OutK, OutV>>> outputs(config.num_map_tasks);
-  detail::for_each_task(config.num_map_tasks, pool.get(), [&](std::size_t t) {
+  common::for_each_index(config.num_map_tasks, pool.get(), [&](std::size_t t) {
     common::ScopedSpan task_span(opts.trace, "map", "task");
     task_span.arg("job", config.name);
     task_span.arg("task", t);
@@ -633,7 +629,7 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     }
   } spill_cleanup{spill_enabled ? &spills : nullptr};
 
-  detail::for_each_task(num_maps, pool.get(), [&](std::size_t t) {
+  common::for_each_index(num_maps, pool.get(), [&](std::size_t t) {
     common::ScopedSpan task_span(opts.trace, "map", "task");
     task_span.arg("job", config.name);
     task_span.arg("task", t);
@@ -779,7 +775,7 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
     shuffle_span.arg("job", config.name);
     shuffle_span.arg("records", result.metrics.shuffle_records);
     shuffle_span.arg("bytes", result.metrics.shuffle_bytes);
-    detail::for_each_task(num_reduces, pool.get(), build_bucket);
+    common::for_each_index(num_reduces, pool.get(), build_bucket);
   }
   result.metrics.shuffle_ns = shuffle_timer.elapsed_ns();
 
@@ -791,7 +787,7 @@ JobResult<OutK, OutV> run_job(const JobConfig<InK, InV, MidK, MidV, OutK, OutV>&
   // the former sort-and-sweep, so output bytes are unchanged.
   opts.cancel.throw_if_stopped("reduce phase start");
   std::vector<std::vector<KV<OutK, OutV>>> reduce_outputs(num_reduces);
-  detail::for_each_task(num_reduces, pool.get(), [&](std::size_t t) {
+  common::for_each_index(num_reduces, pool.get(), [&](std::size_t t) {
     common::ScopedSpan task_span(opts.trace, "reduce", "task");
     task_span.arg("job", config.name);
     task_span.arg("task", t);

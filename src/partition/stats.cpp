@@ -3,10 +3,34 @@
 #include <algorithm>
 
 #include "src/common/stats.hpp"
+#include "src/common/thread_pool.hpp"
 
 namespace mrsky::part {
 
 namespace {
+
+/// Rows per counting task in the resident overload.
+constexpr std::size_t kRowsPerRange = std::size_t{1} << 14;
+
+/// Partition histogram over `tasks` disjoint pieces of the input:
+/// `count(t, sizes)` adds piece t's assignments to `sizes`. Serially every
+/// piece adds to one histogram; on a pool each piece fills its own slot and
+/// the slots are summed in piece order, so both give the same sizes.
+template <typename CountFn>
+std::vector<std::size_t> count_partitions(std::size_t partitions, std::size_t tasks,
+                                          common::ThreadPool* pool, const CountFn& count) {
+  std::vector<std::size_t> sizes(partitions, 0);
+  if (pool == nullptr || tasks <= 1) {
+    for (std::size_t t = 0; t < tasks; ++t) count(t, sizes);
+    return sizes;
+  }
+  std::vector<std::vector<std::size_t>> slots(tasks, std::vector<std::size_t>(partitions, 0));
+  pool->parallel_for(tasks, [&](std::size_t t) { count(t, slots[t]); });
+  for (const std::vector<std::size_t>& slot : slots) {
+    for (std::size_t p = 0; p < partitions; ++p) sizes[p] += slot[p];
+  }
+  return sizes;
+}
 
 /// Derive the summary fields from the filled `sizes` histogram — shared by
 /// the materialised and streaming analyze_partitioning overloads so they
@@ -26,32 +50,39 @@ void finish_report(const Partitioner& partitioner, PartitionReport& report) {
 
 }  // namespace
 
-PartitionReport analyze_partitioning(const Partitioner& partitioner, const data::PointSet& ps) {
+PartitionReport analyze_partitioning(const Partitioner& partitioner, const data::PointSet& ps,
+                                     common::ThreadPool* pool) {
   PartitionReport report;
-  report.sizes.assign(partitioner.num_partitions(), 0);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    report.sizes[partitioner.assign(ps.point(i))] += 1;
-  }
+  const std::size_t ranges = (ps.size() + kRowsPerRange - 1) / kRowsPerRange;
+  report.sizes = count_partitions(
+      partitioner.num_partitions(), ranges, pool,
+      [&](std::size_t r, std::vector<std::size_t>& sizes) {
+        const std::size_t end = std::min(ps.size(), (r + 1) * kRowsPerRange);
+        for (std::size_t i = r * kRowsPerRange; i < end; ++i) {
+          sizes[partitioner.assign(ps.point(i))] += 1;
+        }
+      });
   finish_report(partitioner, report);
   return report;
 }
 
 PartitionReport analyze_partitioning(const Partitioner& partitioner,
-                                     const data::DatasetSource& source) {
+                                     const data::DatasetSource& source,
+                                     common::ThreadPool* pool) {
   if (const data::PointSet* resident = source.resident()) {
-    return analyze_partitioning(partitioner, *resident);
+    return analyze_partitioning(partitioner, *resident, pool);
   }
   PartitionReport report;
-  report.sizes.assign(partitioner.num_partitions(), 0);
-  data::PointSet scratch(source.dim());
-  for (std::size_t b = 0; b < source.block_count(); ++b) {
-    scratch.clear();
-    source.read_block(b, scratch);
-    for (std::size_t i = 0; i < scratch.size(); ++i) {
-      report.sizes[partitioner.assign(scratch.point(i))] += 1;
-    }
-    source.release_block(b);
-  }
+  report.sizes = count_partitions(
+      partitioner.num_partitions(), source.block_count(), pool,
+      [&](std::size_t b, std::vector<std::size_t>& sizes) {
+        data::PointSet rows(source.dim());
+        source.read_block(b, rows);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          sizes[partitioner.assign(rows.point(i))] += 1;
+        }
+        source.release_block(b);
+      });
   finish_report(partitioner, report);
   return report;
 }

@@ -10,6 +10,10 @@
 #include "src/dataset/source.hpp"
 #include "src/partition/partitioner.hpp"
 
+namespace mrsky::common {
+class ThreadPool;
+}
+
 namespace mrsky::part {
 
 struct PartitionReport {
@@ -22,17 +26,22 @@ struct PartitionReport {
 };
 
 /// Fits nothing — `partitioner` must already be fitted on (a superset of)
-/// `ps`. Computes the report for `ps` under that partitioner.
+/// `ps`. Computes the report for `ps` under that partitioner. With a `pool`,
+/// row ranges are counted on its lanes and summed in range order; the report
+/// is identical to the serial one.
 [[nodiscard]] PartitionReport analyze_partitioning(const Partitioner& partitioner,
-                                                   const data::PointSet& ps);
+                                                   const data::PointSet& ps,
+                                                   common::ThreadPool* pool = nullptr);
 
 /// Streaming variant: assigns every row of `source` one block at a time
 /// (peak memory one block), producing the same report the PointSet overload
 /// would on the materialised data. Exact sizes matter — they feed the
 /// pipeline's salting decision — so every block is visited, including ones
-/// block pruning will later skip.
+/// block pruning will later skip. With a `pool`, blocks are counted on its
+/// lanes (peak memory one block per lane) with the same result.
 [[nodiscard]] PartitionReport analyze_partitioning(const Partitioner& partitioner,
-                                                   const data::DatasetSource& source);
+                                                   const data::DatasetSource& source,
+                                                   common::ThreadPool* pool = nullptr);
 
 /// Splits `ps` into per-partition point sets under a fitted partitioner.
 /// Result has exactly partitioner.num_partitions() entries (possibly empty).

@@ -104,6 +104,26 @@ TEST(ThreadPool, ParallelForComputesCorrectSum) {
   EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), 0L), 4950L);
 }
 
+TEST(ThreadPool, NestedParallelForOnOwnWorkerCompletes) {
+  // Every outer lane holds a worker while it calls parallel_for on the same
+  // pool, and on a 1-worker pool even one nested call has no sibling worker
+  // to run its lanes: nested calls must run inline, or this test hangs.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(workers * 50);
+    pool.parallel_for(workers, [&](std::size_t i) {
+      pool.parallel_for(50, [&](std::size_t j) { hits[i * 50 + j].fetch_add(1); });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+    std::atomic<int> submitted_hits{0};
+    pool.submit([&] {
+          pool.parallel_for(50, [&](std::size_t) { submitted_hits.fetch_add(1); });
+        }).get();
+    EXPECT_EQ(submitted_hits.load(), 50);
+  }
+}
+
 TEST(ThreadPool, DefaultConcurrencyIsPositive) {
   EXPECT_GE(ThreadPool::default_concurrency(), 1u);
 }

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/source.hpp"
@@ -139,6 +141,92 @@ TEST(AdaptivePlanner, BlockSkipPreviewCountsWhatPruneBlocksDrops) {
   EXPECT_EQ(m, source.block_count());
   const data::PointSet sample = source.sample(options.sample_size, options.sample_seed);
   EXPECT_EQ(k, data::prune_blocks(source, skyline::bnl_skyline(sample)).blocks_pruned);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_bitwise_equal(const PlanCandidate& a, const PlanCandidate& b, const std::string& what) {
+  EXPECT_EQ(a.scheme, b.scheme) << what;
+  EXPECT_EQ(a.partitions, b.partitions) << what;
+  EXPECT_EQ(a.merge_fan_in, b.merge_fan_in) << what;
+  EXPECT_EQ(a.salted, b.salted) << what;
+  EXPECT_TRUE(same_bits(a.balance_cv, b.balance_cv)) << what;
+  EXPECT_TRUE(same_bits(a.prunable_fraction, b.prunable_fraction)) << what;
+  EXPECT_TRUE(same_bits(a.predicted_merge_input, b.predicted_merge_input)) << what;
+  EXPECT_TRUE(same_bits(a.map_seconds, b.map_seconds)) << what;
+  EXPECT_TRUE(same_bits(a.shuffle_seconds, b.shuffle_seconds)) << what;
+  EXPECT_TRUE(same_bits(a.local_seconds, b.local_seconds)) << what;
+  EXPECT_TRUE(same_bits(a.merge_seconds, b.merge_seconds)) << what;
+}
+
+void expect_bitwise_equal(const AdaptivePlan& pooled, const AdaptivePlan& serial) {
+  EXPECT_EQ(pooled.fallback, serial.fallback);
+  EXPECT_EQ(pooled.sample_points, serial.sample_points);
+  ASSERT_EQ(pooled.candidates.size(), serial.candidates.size());
+  for (std::size_t i = 0; i < serial.candidates.size(); ++i) {
+    expect_bitwise_equal(pooled.candidates[i], serial.candidates[i],
+                         "candidate " + std::to_string(i));
+  }
+  expect_bitwise_equal(pooled.chosen, serial.chosen, "chosen");
+  EXPECT_EQ(pooled.config.scheme, serial.config.scheme);
+  EXPECT_EQ(pooled.config.num_partitions, serial.config.num_partitions);
+  EXPECT_EQ(pooled.config.merge_fan_in, serial.config.merge_fan_in);
+  EXPECT_EQ(pooled.config.salt_oversized_partitions, serial.config.salt_oversized_partitions);
+  EXPECT_TRUE(same_bits(pooled.config.salt_target_factor, serial.config.salt_target_factor));
+  EXPECT_EQ(pooled.config.servers, serial.config.servers);
+  EXPECT_EQ(pooled.rationale, serial.rationale);
+}
+
+TEST(AdaptivePlanner, PooledPlanningIsBitwiseTheSerialPlanning) {
+  // Three servers make Np = 3 odd, which angular-radial rejects: that
+  // (scheme, Np) pair is skipped, and on the pool it is skipped in parallel.
+  AdaptivePlannerOptions options = pinned_options();
+  options.schemes = {part::Scheme::kDimensional, part::Scheme::kGrid, part::Scheme::kAngular,
+                     part::Scheme::kAngularRadial, part::Scheme::kPivot};
+  const AdaptivePlanner planner(options);
+
+  MRSkylineConfig serial;
+  serial.scheme = part::Scheme::kAuto;
+  serial.servers = 3;
+  serial.run_options.mode = mr::ExecutionMode::kThreads;
+  serial.run_options.num_threads = 4;
+  common::ThreadPool pool(4);
+  MRSkylineConfig pooled = serial;
+  pooled.run_options.num_threads = 0;
+  pooled.run_options.pool = &pool;
+
+  const auto ps = workload(20000, 5);
+  const std::string path = testing::TempDir() + "/planner_pooled.mrb";
+  data::write_block_store(path, ps.select(data::zorder_permutation(ps)), 512);
+  const data::BlockStoreSource source(path);
+
+  const AdaptivePlan resident_serial = planner.plan(ps, serial);
+  const AdaptivePlan resident_pooled = planner.plan(ps, pooled);
+  const AdaptivePlan streamed_serial = planner.plan(source, serial);
+  const AdaptivePlan streamed_pooled = planner.plan(source, pooled);
+
+  for (const AdaptivePlan* plan : {&resident_serial, &streamed_serial}) {
+    ASSERT_FALSE(plan->fallback);
+    const auto has = [&](part::Scheme scheme, std::size_t np) {
+      return std::any_of(plan->candidates.begin(), plan->candidates.end(),
+                         [&](const PlanCandidate& c) {
+                           return c.scheme == scheme && c.partitions == np;
+                         });
+    };
+    EXPECT_FALSE(has(part::Scheme::kAngularRadial, 3));
+    EXPECT_TRUE(has(part::Scheme::kAngularRadial, 6));
+    EXPECT_TRUE(std::any_of(plan->candidates.begin(), plan->candidates.end(),
+                            [](const PlanCandidate& c) { return c.salted; }));
+  }
+  {
+    SCOPED_TRACE("resident");
+    expect_bitwise_equal(resident_pooled, resident_serial);
+  }
+  {
+    SCOPED_TRACE(".mrb");
+    expect_bitwise_equal(streamed_pooled, streamed_serial);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SchemeAuto, FactoryRejectsAutoAsPartitioner) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/mr_skyline.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/dataset/io.hpp"
@@ -350,6 +351,21 @@ TEST(DatasetSource, SampleIsDeterministicBoundedAndReleased) {
   }
   // target >= size returns everything.
   EXPECT_EQ(source.sample(5000, 1).size(), ps.size());
+}
+
+TEST(DatasetSource, PooledSampleEqualsSerial) {
+  // 1000 rows in blocks of 64: the last block holds 40, and quotas differ
+  // between blocks, so the concatenation order is visible.
+  const PointSet ps = generate(Distribution::kAnticorrelated, 1000, 3, 59);
+  const std::string path = temp_path("src_sample_pooled.mrb");
+  write_block_store(path, ps, 64);
+  const BlockStoreSource source(path);
+  common::ThreadPool pool(4);
+  for (const std::size_t target : {std::size_t{7}, std::size_t{100}, std::size_t{999}}) {
+    const PointSet serial = source.sample(target, 0x5a3e);
+    EXPECT_EQ(serial.size(), target);
+    EXPECT_EQ(source.sample(target, 0x5a3e, &pool), serial) << "target " << target;
+  }
 }
 
 // ---------------------------------------------------------------------------

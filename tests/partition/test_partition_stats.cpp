@@ -4,8 +4,11 @@
 
 #include "src/common/error.hpp"
 
+#include <cstdio>
 #include <numeric>
 
+#include "src/common/thread_pool.hpp"
+#include "src/dataset/block_store.hpp"
 #include "src/dataset/generators.hpp"
 #include "src/partition/angular.hpp"
 #include "src/partition/dimensional.hpp"
@@ -94,6 +97,47 @@ TEST(PartitionStats, AllPointsInOnePartitionShowsImbalance) {
   EXPECT_EQ(report.largest, ps.size());
   // sizes = {120, 0, 0, 0} up to position: mean 30, stddev 30*sqrt(3).
   EXPECT_GT(report.balance_cv, 1.0);
+}
+
+void expect_same_report(const PartitionReport& a, const PartitionReport& b) {
+  EXPECT_EQ(a.sizes, b.sizes);
+  EXPECT_EQ(a.non_empty, b.non_empty);
+  EXPECT_EQ(a.largest, b.largest);
+  EXPECT_EQ(a.balance_cv, b.balance_cv);
+  EXPECT_EQ(a.prunable, b.prunable);
+  EXPECT_EQ(a.pruned_points, b.pruned_points);
+}
+
+TEST(PartitionStats, PooledCountEqualsSerial) {
+  // 40,500 rows: three row ranges on the resident path, the last one short,
+  // and 41 blocks of 1000 rows in the .mrb, the last one 500 rows.
+  const PointSet ps = data::generate(data::Distribution::kIndependent, 40500, 2, 31);
+  GridPartitioner p(16);
+  p.fit(ps);
+  common::ThreadPool pool(4);
+
+  const PartitionReport serial = analyze_partitioning(p, ps);
+  ASSERT_FALSE(serial.prunable.empty());
+  ASSERT_GT(serial.pruned_points, 0u);
+  {
+    SCOPED_TRACE("resident");
+    expect_same_report(analyze_partitioning(p, ps, &pool), serial);
+  }
+
+  const std::string path = testing::TempDir() + "/partition_stats_pooled.mrb";
+  data::write_block_store(path, ps, 1000);
+  const data::BlockStoreSource source(path);
+  ASSERT_EQ(source.block_count(), 41u);
+  ASSERT_EQ(source.block_stats(40).rows, 500u);
+  {
+    SCOPED_TRACE(".mrb serial");
+    expect_same_report(analyze_partitioning(p, source), serial);
+  }
+  {
+    SCOPED_TRACE(".mrb pooled");
+    expect_same_report(analyze_partitioning(p, source, &pool), serial);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SplitByPartition, EmptyDatasetGivesAllEmptyParts) {
