@@ -17,9 +17,14 @@
 //  * with --check, gates: ex-planning auto wall <= best static wall x
 //    (1 + tolerance) + noise floor, and planning overhead <= --max-plan-ms.
 //
-// The noise floor keeps the gate meaningful at smoke scale, where walls are
-// fractions of a millisecond and scheduler jitter dwarfs any plan quality
-// difference.
+// Every config of a family runs once per round, rounds alternating the
+// order (forward, then backward), and each wall is the min over the rounds;
+// --check runs at least 5 rounds. On a shared host a slow spell then hits
+// every config of a round alike instead of deciding the gate for the 20–50 ms
+// families on its own. The noise floor
+// keeps the gate meaningful at smoke scale, where walls are fractions of a
+// millisecond and scheduler jitter dwarfs any plan quality difference.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -53,14 +58,20 @@ struct TimedRun {
   double best_wall = std::numeric_limits<double>::infinity();
 };
 
-TimedRun timed(const data::PointSet& ps, const core::MRSkylineConfig& config,
-               std::size_t repeats) {
-  TimedRun out;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    core::MRSkylineResult run = core::run_mr_skyline(ps, config);
-    if (run.wall_seconds < out.best_wall) {
-      out.best_wall = run.wall_seconds;
-      out.result = std::move(run);
+/// Runs every config once per round for `rounds` rounds, alternating the
+/// order each round, and keeps each config's fastest run.
+std::vector<TimedRun> timed(const data::PointSet& ps,
+                            const std::vector<core::MRSkylineConfig>& configs,
+                            std::size_t rounds) {
+  std::vector<TimedRun> out(configs.size());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const std::size_t c = r % 2 == 0 ? k : configs.size() - 1 - k;
+      core::MRSkylineResult run = core::run_mr_skyline(ps, configs[c]);
+      if (run.wall_seconds < out[c].best_wall) {
+        out[c].best_wall = run.wall_seconds;
+        out[c].result = std::move(run);
+      }
     }
   }
   return out;
@@ -74,11 +85,12 @@ int main(int argc, char** argv) {
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 5));
   const auto servers = static_cast<std::size_t>(args.get_int("servers", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", bench::kDefaultSeed));
-  const auto repeats = static_cast<std::size_t>(args.get_int("repeats", 2));
+  const bool check = args.get_bool("check", false);
+  const auto repeats = std::max<std::size_t>(
+      static_cast<std::size_t>(args.get_int("repeats", 5)), check ? 5 : 1);
   const double tolerance = args.get_double("tolerance", 0.10);
   const double noise_floor_s = args.get_double("noise-floor-ms", 25.0) / 1e3;
   const double max_plan_s = args.get_double("max-plan-ms", 2000.0) / 1e3;
-  const bool check = args.get_bool("check", false);
   const std::string json_path = args.get_string("json", "");
 
   std::cout << "Ablation — adaptive planner (scheme=auto)\n"
@@ -111,29 +123,32 @@ int main(int argc, char** argv) {
     FamilyRow row;
     row.family = label;
 
-    row.best_static_s = std::numeric_limits<double>::infinity();
+    // The static schemes first, scheme=auto last.
+    std::vector<core::MRSkylineConfig> configs;
     for (part::Scheme scheme : static_schemes) {
-      core::MRSkylineConfig config;
+      core::MRSkylineConfig& config = configs.emplace_back();
       config.scheme = scheme;
       config.servers = servers;
-      const TimedRun run = timed(ps, config, repeats);
-      if (run.best_wall < row.best_static_s) {
-        row.best_static_s = run.best_wall;
-        row.best_static = bench::display_name(scheme);
+    }
+    configs.emplace_back().scheme = part::Scheme::kAuto;
+    configs.back().servers = servers;
+    const std::vector<TimedRun> runs = timed(ps, configs, repeats);
+
+    row.best_static_s = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < static_schemes.size(); ++k) {
+      if (runs[k].best_wall < row.best_static_s) {
+        row.best_static_s = runs[k].best_wall;
+        row.best_static = bench::display_name(static_schemes[k]);
       }
     }
-
-    core::MRSkylineConfig auto_config;
-    auto_config.scheme = part::Scheme::kAuto;
-    auto_config.servers = servers;
-    const TimedRun auto_run = timed(ps, auto_config, repeats);
+    const TimedRun& auto_run = runs.back();
     const core::PlanDecision& plan = auto_run.result.plan;
     row.auto_total_s = auto_run.best_wall;
     row.planning_s = plan.planning_seconds;
     row.auto_pipeline_s = auto_run.best_wall - plan.planning_seconds;
     row.predicted_s = plan.predicted_seconds;
     row.chosen = bench::display_name(plan.scheme) + "/Np=" + std::to_string(plan.partitions) +
-                 "/fan=" + std::to_string(plan.merge_fan_in) + (plan.salted ? "/salt" : "") +
+                 (plan.parallel_merge ? "/parallel" : "/single") + (plan.salted ? "/salt" : "") +
                  (plan.fallback ? " (fallback)" : "");
 
     // The resolved plan, run as a plain static config, must give the exact
@@ -142,7 +157,7 @@ int main(int argc, char** argv) {
     resolved.scheme = plan.scheme;
     resolved.servers = servers;
     resolved.num_partitions = plan.partitions;
-    resolved.merge_fan_in = plan.merge_fan_in;
+    resolved.parallel_merge = plan.parallel_merge;
     resolved.salt_oversized_partitions = plan.salted;
     const core::MRSkylineResult replay = core::run_mr_skyline(ps, resolved);
     row.bitwise_ok = bitwise_equal(auto_run.result.skyline, replay.skyline);
@@ -168,7 +183,8 @@ int main(int argc, char** argv) {
   }
   run_family("qws-like", bench::qws_workload(n, dim, seed));
 
-  table.print(std::cout, "Planner ablation (walls are min over repeats, in-process seconds)");
+  table.print(std::cout, "Planner ablation (walls are min over " + std::to_string(repeats) +
+                             " alternating rounds, in-process seconds)");
   std::cout << "planner overhead bound: " << max_plan_s * 1e3
             << " ms; gate: auto pipeline wall <= best static x " << (1.0 + tolerance)
             << " + " << noise_floor_s * 1e3 << " ms noise floor\n";

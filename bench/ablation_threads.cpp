@@ -10,9 +10,10 @@
 // execution, not a different computation.
 //
 // Numbers scale with the host: on a single-core CI runner every row is ~1x;
-// on an 8-way machine the 8-thread row is expected to clear 2x. A tree merge
-// (--fan_in) keeps the merge stage parallel too; with the paper's default
-// single-reducer merge the serial tail caps the achievable speedup.
+// on an 8-way machine the 8-thread row is expected to clear 2x. The parallel
+// merge (--parallel_merge, on by default) keeps the final phase parallel too;
+// with the paper's single-reducer merge the serial tail caps the achievable
+// speedup.
 #include <iostream>
 
 #include "bench/support.hpp"
@@ -25,11 +26,11 @@ using namespace mrsky;
 
 namespace {
 
-core::MRSkylineConfig base_config(std::size_t servers, std::size_t fan_in, bool combiner) {
+core::MRSkylineConfig base_config(std::size_t servers, bool parallel_merge, bool combiner) {
   core::MRSkylineConfig config;
   config.scheme = part::Scheme::kAngular;
   config.servers = servers;
-  config.merge_fan_in = fan_in;
+  config.parallel_merge = parallel_merge;
   config.use_combiner = combiner;
   return config;
 }
@@ -56,18 +57,19 @@ int main(int argc, char** argv) {
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 8));
   const auto servers = static_cast<std::size_t>(args.get_int("servers", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", bench::kDefaultSeed));
-  const auto fan_in = static_cast<std::size_t>(args.get_int("fan_in", 4));
+  const bool parallel_merge = args.get_bool("parallel_merge", true);
   const bool combiner = args.get_bool("combiner", true);
   const int repeats = static_cast<int>(args.get_int("repeats", 2));
   const auto thread_counts = args.get_int_list("threads", {2, 4, 8});
 
   std::cout << "Threading ablation — sequential vs kThreads on the Fig. 5 workload\n"
             << "N=" << n << ", d=" << dim << ", cluster=" << servers
-            << " servers, merge fan-in=" << fan_in << ", combiner=" << (combiner ? "on" : "off")
+            << " servers, merge=" << (parallel_merge ? "parallel" : "single")
+            << ", combiner=" << (combiner ? "on" : "off")
             << ", hardware threads=" << common::ThreadPool::default_concurrency() << "\n\n";
 
   const auto ps = bench::qws_workload(n, dim, seed);
-  const auto config = base_config(servers, fan_in, combiner);
+  const auto config = base_config(servers, parallel_merge, combiner);
 
   core::MRSkylineResult seq_result;
   const double seq_seconds = measure(ps, config, repeats, &seq_result);
@@ -86,7 +88,9 @@ int main(int argc, char** argv) {
         par_result.skyline == seq_result.skyline &&
         par_result.partition_job.counter_totals() ==
             seq_result.partition_job.counter_totals() &&
-        par_result.partition_job.shuffle_records == seq_result.partition_job.shuffle_records;
+        par_result.partition_job.shuffle_records == seq_result.partition_job.shuffle_records &&
+        par_result.merge_job().counter_totals() == seq_result.merge_job().counter_totals() &&
+        par_result.merge_job().total_work_units() == seq_result.merge_job().total_work_units();
     table.add_row({"threads", common::Table::fmt(static_cast<int>(t)),
                    common::Table::fmt(par_seconds, 3),
                    common::Table::fmt(seq_seconds / par_seconds, 2) + "x",

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   core::MRSkylineConfig config;
   config.scheme = part::Scheme::kAngular;
   config.servers = servers;
-  config.merge_fan_in = 4;
+  config.parallel_merge = true;
   if (threads) config.run_options.mode = mr::ExecutionMode::kThreads;
 
   core::MRSkylineResult off_result;

@@ -87,7 +87,7 @@ done
 # bounded planning overhead. Asserted (--check), and the sweep is landed as
 # machine-readable JSON next to the other perf results.
 "$ROOT/build-perf-scalar/bench/ablation_planner" \
-  --cardinality 60000 --dim 5 --seed 2012 --repeats 3 \
+  --cardinality 60000 --dim 5 --seed 2012 --repeats 5 \
   --json "$RESULTS/planner_sweep.json" \
   --check
 

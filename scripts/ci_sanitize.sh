@@ -27,7 +27,7 @@ cmake --build "$BUILD_DIR" -j --target mrsky_tests
 # The suites touching the engine's concurrency: the generic job engine, the
 # thread pool itself, and the skyline pipeline that drives them end to end.
 FILTER='ThreadPool*:Job*:JobEdgeCases*:ParallelShuffle*:Counters*:Fault*:SkipBadRecords*:MapOnly*'
-FILTER+=':MRSkyline*:Salting*:TreeMerge*:KernelOverride*:SampleFit*'
+FILTER+=':MRSkyline*:Salting*:ParallelMerge*:KernelOverride*:SampleFit*:*Differential*'
 # The tiled dominance kernel + window buffers (pointer-striding code under the
 # skyline algorithms; ASan/UBSan catch lane/padding mistakes, TSan checks the
 # thread_local window reuse under the threaded pipeline).

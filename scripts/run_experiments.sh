@@ -37,7 +37,7 @@ run ablation_angular_policy "$BENCH_DIR/ablation_angular_policy"
 run ablation_local_algorithm "$BENCH_DIR/ablation_local_algorithm"
 run ablation_distribution "$BENCH_DIR/ablation_distribution"
 run ablation_combiner "$BENCH_DIR/ablation_combiner"
-run ablation_merge_fanin "$BENCH_DIR/ablation_merge_fanin"
+run ablation_merge_parallel "$BENCH_DIR/ablation_merge_parallel"
 run ablation_sequential_baselines "$BENCH_DIR/ablation_sequential_baselines"
 run ablation_stragglers "$BENCH_DIR/ablation_stragglers"
 run ablation_salting "$BENCH_DIR/ablation_salting"

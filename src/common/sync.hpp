@@ -146,7 +146,7 @@ class CancellationToken {
   }
 
   /// Polls and throws the typed abort. `where` names the split boundary for
-  /// the error message ("map task", "merge round 2", "query admission").
+  /// the error message ("map task", "merge job", "query admission").
   void throw_if_stopped(const char* where) const {
     switch (stop_reason()) {
       case StopReason::kNone:

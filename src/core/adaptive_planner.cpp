@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -22,8 +20,8 @@
 namespace mrsky::core {
 namespace {
 
-// Sample-scale measurements for one (scheme, Np), shared by every
-// (fan-in, salting) variant priced on top of it.
+// Sample-scale measurements for one (scheme, Np), shared by both salting
+// variants priced on top of it.
 struct FitAnalysis {
   part::Scheme scheme = part::Scheme::kAngular;
   std::size_t partitions = 0;  ///< requested Np (what the config will say)
@@ -31,16 +29,7 @@ struct FitAnalysis {
   double prunable_fraction = 0.0;
   /// Per surviving (non-pruned, non-empty) partition.
   std::vector<std::size_t> part_sample_n;
-  std::vector<data::PointSet> part_sample_sky;
-};
-
-// One reduce-key's worth of predicted merge input. Salted sub-keys of the
-// same partition share the partition's sample skyline.
-struct MergeNode {
-  std::size_t sample_sky = 0;      ///< source id in the fit's BucketSkylines
-  double sample_underlying = 0.0;  ///< sample points behind this node
-  double full_sky = 0.0;           ///< predicted full-scale skyline records
-  double full_underlying = 0.0;    ///< predicted full-scale points
+  std::vector<std::size_t> part_sample_sky;  ///< sample skyline sizes
 };
 
 double growth(double sample_n, double full_n, std::size_t dim) {
@@ -48,49 +37,6 @@ double growth(double sample_n, double full_n, std::size_t dim) {
   const auto f = static_cast<std::size_t>(std::llround(std::max(full_n, 0.0)));
   return skyline_growth_factor(s, f, dim);
 }
-
-// The sample skylines one fit's merge cascades read, each computed once.
-// Source ids 0..P-1 are the fit's per-partition sample skylines; every merge
-// bucket skyline gets the next id. A bucket is keyed by its distinct member
-// sources in first-appearance order, which is all its id-deduplicated union
-// depends on: a salted candidate's fan-in-0 bucket, for one, is the same
-// union as its unsalted twin's.
-class BucketSkylines {
- public:
-  explicit BucketSkylines(const FitAnalysis& fa) {
-    for (const data::PointSet& sky : fa.part_sample_sky) sources_.push_back(&sky);
-  }
-
-  // Source id of the skyline of the union of `members`' sample skylines.
-  // Union with id-dedup: salted sub-nodes of one partition all point at the
-  // same skyline, and double-counting it would inflate the merge-output
-  // estimate.
-  std::size_t merge(const std::vector<std::size_t>& members, std::size_t dim) {
-    std::vector<std::size_t> key;
-    for (const std::size_t m : members) {
-      if (std::find(key.begin(), key.end(), m) == key.end()) key.push_back(m);
-    }
-    if (const auto it = index_.find(key); it != index_.end()) return it->second;
-    data::PointSet unioned(dim);
-    std::unordered_set<std::uint64_t> seen;
-    for (const std::size_t m : key) {
-      const data::PointSet& sky = *sources_[m];
-      for (std::size_t i = 0; i < sky.size(); ++i) {
-        if (seen.insert(sky.id(i)).second) unioned.push_back(sky.point(i), sky.id(i));
-      }
-    }
-    owned_.push_back(skyline::sfs_skyline(unioned));
-    sources_.push_back(&owned_.back());
-    return index_.emplace(std::move(key), sources_.size() - 1).first->second;
-  }
-
-  [[nodiscard]] std::size_t size(std::size_t source) const { return sources_[source]->size(); }
-
- private:
-  std::vector<const data::PointSet*> sources_;
-  std::deque<data::PointSet> owned_;  // stable addresses for sources_
-  std::map<std::vector<std::size_t>, std::size_t> index_;
-};
 
 std::size_t worker_lanes(const MRSkylineConfig& config) {
   if (config.run_options.mode != mr::ExecutionMode::kThreads) return 1;
@@ -102,15 +48,16 @@ std::size_t worker_lanes(const MRSkylineConfig& config) {
 // Returns nullopt for a salted variant in which no partition actually
 // splits (every k_p == 1): it would be an exact duplicate of the unsalted
 // candidate — same plan, same prediction — and only bloat the table.
-std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, BucketSkylines& buckets,
-                                             std::size_t merge_fan_in, bool salted,
+// `global_sky` is the predicted full-scale global skyline, the same for
+// every candidate.
+std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, bool salted,
                                              const MRSkylineConfig& base, std::size_t full_n,
                                              std::size_t dim, std::size_t sample_n,
-                                             std::size_t lanes, const CostConstants& c) {
+                                             double global_sky, std::size_t lanes,
+                                             const CostConstants& c) {
   PlanCandidate cand;
   cand.scheme = fa.scheme;
   cand.partitions = fa.partitions;
-  cand.merge_fan_in = merge_fan_in;
   cand.salted = salted;
   cand.balance_cv = fa.balance_cv;
   cand.prunable_fraction = fa.prunable_fraction;
@@ -124,16 +71,16 @@ std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, BucketSkylin
   cand.shuffle_seconds = n * c.seconds_per_shuffle_record;
 
   // Local-skyline phase: one task per reduce key; salting splits oversized
-  // partitions with the same k_p formula run_mr_skyline uses.
+  // partitions with the same k_p formula run_mr_skyline uses. Every key's
+  // local skyline enters the merge.
   const double salt_target =
       base.salt_target_factor * n / static_cast<double>(std::max<std::size_t>(1, fa.partitions));
   std::vector<double> local_tasks;
-  std::vector<MergeNode> nodes;
   bool any_split = false;
   for (std::size_t i = 0; i < fa.part_sample_n.size(); ++i) {
     const double part_sample = static_cast<double>(fa.part_sample_n[i]);
     const double part_full = part_sample * scale;
-    const double sky_sample = static_cast<double>(fa.part_sample_sky[i].size());
+    const double sky_sample = static_cast<double>(fa.part_sample_sky[i]);
     std::size_t salt_count = 1;
     if (salted) {
       const auto needed =
@@ -146,64 +93,35 @@ std::optional<PlanCandidate> price_candidate(const FitAnalysis& fa, BucketSkylin
         std::min(sub_full, sky_sample * growth(part_sample, sub_full, dim));
     for (std::size_t s = 0; s < salt_count; ++s) {
       local_tasks.push_back(sub_full * std::max(sub_sky, 1.0) * c.seconds_per_dominance_test);
-      nodes.push_back(
-          MergeNode{i, part_sample / static_cast<double>(salt_count), sub_sky, sub_full});
+      cand.predicted_merge_input += sub_sky;
     }
   }
   if (salted && !any_split) return std::nullopt;
   cand.local_seconds =
       mr::lpt_makespan(local_tasks, lanes) + c.seconds_per_job;
 
-  for (const MergeNode& node : nodes) cand.predicted_merge_input += node.full_sky;
-
-  // Merge cascade, simulated the way run_mr_skyline executes it: rounds of
-  // `merge_fan_in` groups (0 = everything into one reducer), each round a
-  // job with its own shuffle and fixed overhead. Bucket outputs are the
-  // *actual* skylines of the unioned sample skylines, scaled to full size.
-  if (!nodes.empty()) {
-    bool first_round = true;
-    while (nodes.size() > 1 || first_round) {
-      first_round = false;
-      const std::size_t fan =
-          merge_fan_in < 2 ? nodes.size() : std::min(merge_fan_in, nodes.size());
-      std::vector<double> bucket_costs;
-      std::vector<MergeNode> next;
-      double round_input = 0.0;
-      for (std::size_t start = 0; start < nodes.size(); start += fan) {
-        const std::size_t end = std::min(start + fan, nodes.size());
-        std::vector<std::size_t> members;
-        double in_full = 0.0, und_full = 0.0, und_sample = 0.0;
-        for (std::size_t i = start; i < end; ++i) {
-          members.push_back(nodes[i].sample_sky);
-          in_full += nodes[i].full_sky;
-          und_full += nodes[i].full_underlying;
-          und_sample += nodes[i].sample_underlying;
-        }
-        const std::size_t out_sample = buckets.merge(members, dim);
-        const double out_full =
-            std::min(in_full, static_cast<double>(buckets.size(out_sample)) *
-                                  growth(und_sample, und_full, dim));
-        bucket_costs.push_back(in_full * std::max(out_full, 1.0) *
-                               c.seconds_per_dominance_test);
-        round_input += in_full;
-        next.push_back(MergeNode{out_sample, und_sample, out_full, und_full});
-      }
-      cand.merge_seconds += mr::lpt_makespan(bucket_costs, lanes) + c.seconds_per_job +
-                            round_input * c.seconds_per_shuffle_record;
-      nodes = std::move(next);
-    }
-  } else {
-    cand.merge_seconds = c.seconds_per_job;  // the always-present merge job
-  }
+  // The parallel merge, priced the way run_mr_skyline executes it: each of
+  // the M merge-input points scans the prefix of U before it in SFS order.
+  // A global-skyline point scans its whole prefix (M/2 on average); a
+  // dominated one stops at its first dominator, near the head. The tests
+  // split evenly over 2 x servers reducers, scheduled LPT onto the lanes.
+  const double merge_in = cand.predicted_merge_input;
+  const double survivors = std::min(merge_in, global_sky);
+  const std::size_t reducers = 2 * std::max<std::size_t>(1, base.servers);
+  const std::vector<double> merge_tasks(
+      reducers, survivors * merge_in / 2.0 / static_cast<double>(reducers) *
+                    c.seconds_per_dominance_test);
+  cand.merge_seconds = mr::lpt_makespan(merge_tasks, lanes) + c.seconds_per_job +
+                       merge_in * c.seconds_per_shuffle_record;
   return cand;
 }
 
 MRSkylineConfig resolve(const MRSkylineConfig& base, part::Scheme scheme,
-                        std::size_t partitions, std::size_t merge_fan_in, bool salted) {
+                        std::size_t partitions, bool salted) {
   MRSkylineConfig resolved = base;
   resolved.scheme = scheme;
   resolved.num_partitions = partitions;
-  resolved.merge_fan_in = merge_fan_in;
+  resolved.parallel_merge = true;
   resolved.salt_oversized_partitions = salted;
   resolved.prepared_partitioner = nullptr;
   return resolved;
@@ -215,7 +133,7 @@ MRSkylineConfig resolve(const MRSkylineConfig& base, part::Scheme scheme,
 std::optional<FitAnalysis> analyze_fit(part::Scheme scheme, std::size_t np,
                                        const data::PointSet& sample,
                                        const MRSkylineConfig& base) {
-  if (!resolve(base, scheme, np, 0, false).validate().empty()) return std::nullopt;
+  if (!resolve(base, scheme, np, false).validate().empty()) return std::nullopt;
   FitAnalysis fa;
   fa.scheme = scheme;
   fa.partitions = np;
@@ -237,7 +155,7 @@ std::optional<FitAnalysis> analyze_fit(part::Scheme scheme, std::size_t np,
     for (std::size_t p = 0; p < parts.size(); ++p) {
       if (parts[p].empty() || pruned.count(p) != 0) continue;
       fa.part_sample_n.push_back(parts[p].size());
-      fa.part_sample_sky.push_back(skyline::sfs_skyline(parts[p]));
+      fa.part_sample_sky.push_back(skyline::sfs_skyline(parts[p]).size());
     }
   } catch (const std::exception&) {
     return std::nullopt;  // a scheme that cannot fit this sample is not a candidate
@@ -257,11 +175,10 @@ AdaptivePlan heuristic_fallback(std::size_t n, std::size_t dim, const MRSkylineC
   AdaptivePlan plan;
   plan.fallback = true;
   plan.config = resolve(base, heur.config.scheme, heur.config.num_partitions,
-                        heur.config.merge_fan_in, heur.config.salt_oversized_partitions);
+                        heur.config.salt_oversized_partitions);
   plan.config.salt_target_factor = heur.config.salt_target_factor;
   plan.chosen.scheme = plan.config.scheme;
   plan.chosen.partitions = plan.config.effective_partitions();
-  plan.chosen.merge_fan_in = plan.config.merge_fan_in;
   plan.chosen.salted = plan.config.salt_oversized_partitions;
   plan.rationale = "auto: " + reason + "; using static heuristic\n" + heur.rationale;
   return plan;
@@ -281,7 +198,6 @@ AdaptivePlanner::AdaptivePlanner(AdaptivePlannerOptions options) : options_(std:
                         part::Scheme::kPivot};
   }
   if (options_.partitions_per_server.empty()) options_.partitions_per_server = {1, 2, 4};
-  if (options_.merge_fan_ins.empty()) options_.merge_fan_ins = {0, 4};
 }
 
 AdaptivePlan AdaptivePlanner::plan(const data::PointSet& input,
@@ -378,9 +294,9 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
   common::ThreadPool* const pool = mr::borrowed_pool(base.run_options);
 
   // 2. Analyze — fit each (scheme, Np) on the sample once and compute the
-  // actual per-partition sample skylines; every fan-in/salting variant is
-  // priced from the same analysis. Fits are independent, so they run on the
-  // job's lanes into index-addressed slots, collected in enumeration order.
+  // actual per-partition sample skylines; both salting variants are priced
+  // from the same analysis. Fits are independent, so they run on the job's
+  // lanes into index-addressed slots, collected in enumeration order.
   std::vector<std::size_t> partition_counts;
   for (const std::size_t per_server : options_.partitions_per_server) {
     const std::size_t np = std::max<std::size_t>(1, per_server * std::max<std::size_t>(1, base.servers));
@@ -407,21 +323,20 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
     return plan;
   }
 
-  // 3. Optimize — price every (scheme, Np, fan-in, salting) candidate and
-  // keep them all (cheapest first) for the rationale and `mrsky plan`. One
-  // task per (fit, fan-in) prices both salting variants over one shared
-  // BucketSkylines; slots are collected in (fit, fan-in, salting) order.
-  const std::size_t fan_count = options_.merge_fan_ins.size();
-  std::vector<std::optional<PlanCandidate>> priced(analyses.size() * fan_count * 2);
-  common::for_each_index(analyses.size() * fan_count, pool, [&](std::size_t task) {
-    const FitAnalysis& fa = analyses[task / fan_count];
-    const std::size_t fan = options_.merge_fan_ins[task % fan_count];
-    BucketSkylines buckets(fa);
+  // 3. Optimize — price every (scheme, Np, salting) candidate and keep them
+  // all (cheapest first) for the rationale and `mrsky plan`. The global
+  // skyline every candidate's merge keeps is measured once on the sample.
+  const double global_sky =
+      static_cast<double>(skyline::sfs_skyline(sample).size()) *
+      growth(static_cast<double>(sample_n), static_cast<double>(n), dim);
+  std::vector<std::optional<PlanCandidate>> priced(analyses.size() * 2);
+  common::for_each_index(analyses.size(), pool, [&](std::size_t f) {
+    const FitAnalysis& fa = analyses[f];
     for (const bool salted : {false, true}) {
       if (salted && !options_.consider_salting) continue;
-      if (!resolve(base, fa.scheme, fa.partitions, fan, salted).validate().empty()) continue;
-      priced[task * 2 + (salted ? 1 : 0)] =
-          price_candidate(fa, buckets, fan, salted, base, n, dim, sample_n, lanes, constants);
+      if (!resolve(base, fa.scheme, fa.partitions, salted).validate().empty()) continue;
+      priced[f * 2 + (salted ? 1 : 0)] =
+          price_candidate(fa, salted, base, n, dim, sample_n, global_sky, lanes, constants);
     }
   });
   AdaptivePlan plan;
@@ -440,19 +355,17 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
                        return a.total_seconds() < b.total_seconds();
                      if (a.scheme != b.scheme) return static_cast<int>(a.scheme) < static_cast<int>(b.scheme);
                      if (a.partitions != b.partitions) return a.partitions < b.partitions;
-                     if (a.merge_fan_in != b.merge_fan_in) return a.merge_fan_in < b.merge_fan_in;
                      return !a.salted && b.salted;
                    });
   plan.chosen = plan.candidates.front();
-  plan.config = resolve(base, plan.chosen.scheme, plan.chosen.partitions, plan.chosen.merge_fan_in,
-                        plan.chosen.salted);
+  plan.config = resolve(base, plan.chosen.scheme, plan.chosen.partitions, plan.chosen.salted);
   plan.config.validate_or_throw();
 
   std::ostringstream os;
   os << "auto: scored " << plan.candidates.size() << " candidates over " << sample_n
      << " sample points (seed 0x" << std::hex << options_.sample_seed << std::dec << ")\n";
   os << "chosen: scheme=" << part::to_string(plan.chosen.scheme) << " Np=" << plan.chosen.partitions
-     << " fan=" << plan.chosen.merge_fan_in << " salt=" << (plan.chosen.salted ? "on" : "off")
+     << " salt=" << (plan.chosen.salted ? "on" : "off") << " merge=parallel"
      << " — predicted " << format_ms(plan.chosen.total_seconds()) << " (map "
      << format_ms(plan.chosen.map_seconds) << ", shuffle " << format_ms(plan.chosen.shuffle_seconds)
      << ", local " << format_ms(plan.chosen.local_seconds) << ", merge "
@@ -463,7 +376,7 @@ AdaptivePlan AdaptivePlanner::plan_on_sample(const data::PointSet& sample, std::
                              ? (runner.total_seconds() / plan.chosen.total_seconds() - 1.0) * 100.0
                              : 0.0;
     os << "runner-up: scheme=" << part::to_string(runner.scheme) << " Np=" << runner.partitions
-       << " fan=" << runner.merge_fan_in << " salt=" << (runner.salted ? "on" : "off") << " at +"
+       << " salt=" << (runner.salted ? "on" : "off") << " at +"
        << std::fixed << std::setprecision(1) << delta << "%\n";
   }
   os << "sample balance cv " << std::fixed << std::setprecision(3) << plan.chosen.balance_cv

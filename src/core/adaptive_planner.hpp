@@ -18,16 +18,18 @@
 //  3. optimize — extrapolate sample measurements to full scale with the
 //     independent-data growth law (cost_model.hpp), price the map /
 //     shuffle / local-skyline / merge phases of every (scheme × Np ×
-//     fan-in × salting) candidate with calibrated per-work-unit costs,
-//     and pick the cheapest plan.
+//     salting) candidate with calibrated per-work-unit costs, and pick the
+//     cheapest plan.
 //
 // Candidate phases are priced the way the pipeline actually executes
 // them: per-reduce-key task costs scheduled LPT onto the process's worker
 // lanes (mr::lpt_makespan), salting split with the same k_p formula
-// run_mr_skyline uses, and merge rounds simulated as the real fan-in
-// cascade over the sample skylines. The Ciaccia & Martinenghi trade-off
-// (when is a parallel merge round worth its extra job overhead?) falls
-// out of seconds_per_job versus the LPT win.
+// run_mr_skyline uses, and the final phase as the one-round parallel merge
+// every plan selects (MRSkylineConfig::parallel_merge): each merge-input
+// point scans the prefix of the SFS-sorted union before it, split over
+// 2 × servers reducers. Ciaccia & Martinenghi optimise this scheme's final
+// phase on its own; here it is one job whatever the candidate, so its cost
+// differs between candidates only through the merge input they produce.
 //
 // Datasets too small to sample meaningfully fall back to the static
 // heuristic (plan_config) — at that scale every plan finishes in
@@ -60,8 +62,6 @@ struct AdaptivePlannerOptions {
   /// Partition counts to try, as multiples of config.servers; empty means
   /// {1, 2, 4} (the paper's 2× bracketed from both sides).
   std::vector<std::size_t> partitions_per_server;
-  /// Merge fan-ins to try; empty means {0, 4} (single reducer vs. tree).
-  std::vector<std::size_t> merge_fan_ins;
   /// Also price every candidate with salting enabled.
   bool consider_salting = true;
 
@@ -76,7 +76,6 @@ struct AdaptivePlannerOptions {
 struct PlanCandidate {
   part::Scheme scheme = part::Scheme::kAngular;
   std::size_t partitions = 0;
-  std::size_t merge_fan_in = 0;  ///< 0 = single-reducer merge
   bool salted = false;
 
   double balance_cv = 0.0;          ///< sample assignment balance (lower = flatter)
@@ -84,9 +83,9 @@ struct PlanCandidate {
   double predicted_merge_input = 0.0;  ///< full-scale records entering the merge
 
   double map_seconds = 0.0;      ///< partition assignment over the full input
-  double shuffle_seconds = 0.0;  ///< record materialisation, all rounds
+  double shuffle_seconds = 0.0;  ///< job-1 record materialisation
   double local_seconds = 0.0;    ///< per-key local skylines, LPT over lanes
-  double merge_seconds = 0.0;    ///< merge cascade + per-round job overhead
+  double merge_seconds = 0.0;    ///< parallel merge: prefix scans, shuffle, job overhead
 
   [[nodiscard]] double total_seconds() const noexcept {
     return map_seconds + shuffle_seconds + local_seconds + merge_seconds;
@@ -115,8 +114,8 @@ class AdaptivePlanner {
   /// Plans a pipeline configuration for `input`. `base` supplies everything
   /// the planner does not decide (servers, algorithm, run options, fit
   /// sampling, pruning toggle …) and is copied into the result with the
-  /// decided fields (scheme, num_partitions, merge_fan_in, salting)
-  /// overwritten. `base.scheme` may be kAuto; the result's never is.
+  /// decided fields (scheme, num_partitions, salting) overwritten and
+  /// parallel_merge set. `base.scheme` may be kAuto; the result's never is.
   ///
   /// Under ExecutionMode::kThreads with a `base.run_options.pool`, the
   /// per-(scheme, Np) sample fits and the candidate pricing run on that

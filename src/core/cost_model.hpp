@@ -35,8 +35,8 @@ struct CostConstants {
   /// One record crossing the shuffle (PointRec materialisation + bucket
   /// insert), charged per point entering a job.
   double seconds_per_shuffle_record = 1.2e-7;
-  /// Fixed in-process overhead per MapReduce round (job setup, task spawn,
-  /// output collection) — what keeps deep merge trees from looking free.
+  /// Fixed in-process overhead per MapReduce job (job setup, task spawn,
+  /// output collection).
   double seconds_per_job = 2e-4;
 };
 

@@ -17,6 +17,7 @@
 #include "src/core/adaptive_planner.hpp"
 #include "src/core/cost_model.hpp"
 #include "src/dataset/transforms.hpp"
+#include "src/skyline/dominance_block.hpp"
 
 namespace mrsky::core {
 
@@ -128,7 +129,7 @@ constexpr std::size_t kOutOfCoreFitSample = 4096;
 
 /// Rebuild a PointSet from shuffled records (shared by combine/reduce/merge).
 /// Returns a per-worker-thread scratch buffer reused across reduce groups and
-/// merge rounds, so group materialisation stops allocating per group; callers
+/// jobs, so group materialisation stops allocating per group; callers
 /// must be done with the previous group's view before asking for the next
 /// (every kernel below copies its survivors out via PointSet::select).
 data::PointSet& to_point_set(std::size_t dim, const std::vector<PointRec>& recs) {
@@ -141,7 +142,7 @@ data::PointSet& to_point_set(std::size_t dim, const std::vector<PointRec>& recs)
 }
 
 /// Fixed-layout spill codec for the pipeline's intermediate records, used by
-/// both job 1 and every merge round (they share the KV<size_t, PointRec>
+/// both job 1 and the merge job (they share the KV<size_t, PointRec>
 /// shape): u64 key, u32 id, u64 coordinate count, raw doubles.
 void spill_write_rec(std::ostream& os, const mr::KV<std::size_t, PointRec>& kv) {
   const auto key = static_cast<std::uint64_t>(kv.key);
@@ -182,8 +183,8 @@ bool needs_job_pool(const MRSkylineConfig& config) {
 }
 
 /// Runs `run` on a copy of `config` carrying the job's one persistent pool,
-/// created here once, so planning, the partition count, job 1 and every
-/// merge round share it instead of paying thread start-up per phase.
+/// created here once, so planning, the partition count, job 1 and the merge
+/// job share it instead of paying thread start-up per phase.
 template <typename Run>
 MRSkylineResult run_on_job_pool(const MRSkylineConfig& config, const Run& run) {
   const std::size_t threads = config.run_options.num_threads == 0
@@ -196,7 +197,7 @@ MRSkylineResult run_on_job_pool(const MRSkylineConfig& config, const Run& run) {
 }
 
 /// The shared pipeline body — job 1 (partition + local skyline) and the
-/// merge cascade — generic over the input view (PointSetInput streams a
+/// merge job — generic over the input view (PointSetInput streams a
 /// resident PointSet, BlockInput streams a DatasetSource's surviving
 /// blocks). The caller has already fitted the partitioner, computed the
 /// partition report (whose sizes feed salting) and decided the
@@ -309,7 +310,7 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
   job1.reduce_fn = make_local_skyline_fn("skyline.local_points");
 
   // Cooperative cancellation polls at pipeline split boundaries: before the
-  // partition/local-skyline job and before every merge round. run_job polls
+  // partition/local-skyline job and before the merge job. run_job polls
   // again inside each phase, so a stopping pipeline unwinds within one task
   // stride wherever it happens to be.
   run_opts.cancel.throw_if_stopped("partition/local-skyline job");
@@ -322,42 +323,70 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
     result.local_skylines[key_to_partition[kv.key]].push_back(kv.value.coords, kv.value.id);
   }
 
-  // --- Merge stage (Algorithm 1, lines 11-16). ---
-  //
-  // Each merge round is a (group, point) -> (group/fan_in, local skyline)
-  // MapReduce job. With merge_fan_in == 0 there is exactly one round with a
-  // single group — the paper's null-key single-reducer merge. With
-  // merge_fan_in >= 2 groups shrink by that factor per round (tree merge).
+  // --- Merge stage (Algorithm 1, lines 11-16): one job, one round. ---
   using MergeJob =
       mr::JobConfig<std::size_t, PointRec, std::size_t, PointRec, std::size_t, PointRec>;
-  const std::size_t fan_in = config.merge_fan_in;
+  MergeJob job;
+  job.num_map_tasks = config.effective_map_tasks();
+  job.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
+  job.value_bytes_fn = [](const PointRec& rec) {
+    return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
+  };
+  job.spill_codec.write = spill_write_rec;
+  job.spill_codec.read = spill_read_rec;
 
-  std::vector<mr::KV<std::size_t, PointRec>> merge_input;
-  merge_input.reserve(job1_result.output.size());
-  for (auto& kv : job1_result.output) merge_input.push_back(std::move(kv));
+  std::vector<mr::KV<std::size_t, PointRec>> merge_input = std::move(job1_result.output);
+  // The parallel phase's broadcast: U in SFS order, read by every reducer.
+  skyline::TiledWindow sorted_union(dim);
+  if (config.parallel_merge) {
+    // Sort U once so that every dominator precedes what it dominates, and
+    // key each point by its rank: point r is in the global skyline iff no
+    // point of rank < r dominates it.
+    common::ScopedSpan span(trace, "merge-broadcast", "skyline");
+    span.arg("points", merge_input.size());
+    const std::vector<std::size_t> order =
+        skyline::sfs_order(merge_input.size(), [&merge_input](std::size_t i) {
+          return std::span<const double>(merge_input[i].value.coords);
+        });
+    std::vector<mr::KV<std::size_t, PointRec>> ranked;
+    ranked.reserve(merge_input.size());
+    for (const std::size_t i : order) {
+      sorted_union.push_back(merge_input[i].value.coords, ranked.size());
+      ranked.push_back({ranked.size(), std::move(merge_input[i].value)});
+    }
+    merge_input = std::move(ranked);
 
-  std::size_t groups = total_keys;
-  std::size_t round = 0;
-  for (;;) {
-    ++round;
-    run_opts.cancel.throw_if_stopped(
-        ("merge round " + std::to_string(round)).c_str());
-    const std::size_t next_groups =
-        fan_in == 0 ? 1 : (groups + fan_in - 1) / fan_in;
-    MergeJob job;
-    job.name = "merge-round-" + std::to_string(round);
-    job.num_map_tasks = config.effective_map_tasks();
-    job.num_reduce_tasks = next_groups;
-    job.partition_fn = [](const std::size_t& key, std::size_t buckets) { return key % buckets; };
-    job.value_bytes_fn = [](const PointRec& rec) {
-      return sizeof(data::PointId) + rec.coords.size() * sizeof(double);
-    };
-    job.spill_codec.write = spill_write_rec;
-    job.spill_codec.read = spill_read_rec;
-    job.map_fn = [fan_in](const std::size_t& group, const PointRec& rec,
-                          mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+    job.name = "parallel-merge";
+    job.num_reduce_tasks = 2 * config.servers;
+    job.map_fn = [](const std::size_t& rank, const PointRec& rec,
+                    mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
       ctx.charge_work(1);
-      out.emit(fan_in == 0 ? 0 : group / fan_in, rec);  // output(null/group, si)
+      out.emit(rank, rec);
+    };
+    job.reduce_fn = [&sorted_union, reducers = job.num_reduce_tasks](
+                        const std::size_t& rank, std::vector<PointRec>& values,
+                        mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+      // Ranks reach reducers round-robin, so rank r < reducers is the first
+      // key its reducer sees: reading the broadcast U costs that reducer one
+      // work unit per point, charged once per attempt.
+      if (rank < reducers) ctx.charge_work(sorted_union.size());
+      for (PointRec& rec : values) {
+        const std::size_t hit = sorted_union.first_dominator(rec.coords.data(), rank);
+        // Tests as the scalar prefix scan makes them: up to and including
+        // the first dominator.
+        ctx.charge_work(hit < rank ? hit + 1 : rank);
+        if (hit < rank) continue;
+        ctx.increment("skyline.merged_points", 1);
+        out.emit(rank, std::move(rec));
+      }
+    };
+  } else {
+    job.name = "merge-round-1";
+    job.num_reduce_tasks = 1;
+    job.map_fn = [](const std::size_t& /*partition*/, const PointRec& rec,
+                    mr::Emitter<std::size_t, PointRec>& out, mr::TaskContext& ctx) {
+      ctx.charge_work(1);
+      out.emit(0, rec);  // output(null, si)
     };
     job.reduce_fn = [&kernel, dim, trace](const std::size_t& group, std::vector<PointRec>& values,
                                           mr::Emitter<std::size_t, PointRec>& out,
@@ -366,32 +395,69 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
       span.arg("group", group);
       span.arg("points_in", values.size());
       skyline::SkylineStats stats;
-      const data::PointSet merged =
-          kernel(to_point_set(dim, values), &stats);
+      const data::PointSet merged = kernel(to_point_set(dim, values), &stats);
       ctx.charge_work(stats.dominance_tests);
       ctx.increment("skyline.merged_points", merged.size());
       span.arg("skyline_points", merged.size());
       span.arg("dominance_tests", stats.dominance_tests);
       for (std::size_t i = 0; i < merged.size(); ++i) {
-        out.emit(group, PointRec{merged.id(i),
-                                 {merged.point(i).begin(), merged.point(i).end()}});
+        out.emit(group, PointRec{merged.id(i), {merged.point(i).begin(), merged.point(i).end()}});
       }
     };
-
-    auto merge_result = mr::run_job(job, merge_input, run_opts);
-    result.merge_rounds.push_back(merge_result.metrics);
-    groups = next_groups;
-    if (groups <= 1) {
-      data::PointSet skyline(dim);
-      skyline.reserve(merge_result.output.size());
-      for (const auto& kv : merge_result.output) {
-        skyline.push_back(kv.value.coords, kv.value.id);
-      }
-      result.skyline = std::move(skyline);
-      break;
-    }
-    merge_input = std::move(merge_result.output);
   }
+
+  run_opts.cancel.throw_if_stopped("merge job");
+  auto merge_result = mr::run_job(job, merge_input, run_opts);
+  result.merge_rounds.push_back(std::move(merge_result.metrics));
+  if (config.parallel_merge) {
+    std::ranges::stable_sort(merge_result.output, {},
+                             [](const mr::KV<std::size_t, PointRec>& kv) { return kv.value.id; });
+  }
+  data::PointSet skyline(dim);
+  skyline.reserve(merge_result.output.size());
+  for (const auto& kv : merge_result.output) skyline.push_back(kv.value.coords, kv.value.id);
+  result.skyline = std::move(skyline);
+}
+
+/// scheme=auto: plans `data` (a PointSet or a DatasetSource) with the
+/// adaptive planner, runs the pipeline with the resolved configuration,
+/// refines the process-wide cost model with what actually happened and
+/// records the decision. The reported wall includes the planning time.
+template <typename Data>
+MRSkylineResult run_planned(const Data& data, const MRSkylineConfig& config) {
+  AdaptivePlannerOptions popts;
+  popts.sample_seed = config.fit_sample_seed;
+  const AdaptivePlanner planner(popts);
+  AdaptivePlan plan;
+  {
+    common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
+    plan = planner.plan(data, config);
+    plan_span.arg("scheme", part::to_string(plan.config.scheme));
+    plan_span.arg("partitions", plan.config.effective_partitions());
+    plan_span.arg("candidates", plan.candidates.size());
+    plan_span.arg("fallback", plan.fallback ? 1 : 0);
+    plan_span.arg("sample_points", plan.sample_points);
+  }
+  MRSkylineResult result = run_mr_skyline(data, plan.config);
+
+  const mr::JobMetrics& merge = result.merge_job();
+  CostModel::process().observe_run(
+      result.partition_job.total_work_units() + merge.total_work_units(),
+      result.partition_job.shuffle_records + merge.shuffle_records, result.wall_seconds);
+
+  result.plan.engaged = true;
+  result.plan.fallback = plan.fallback;
+  result.plan.scheme = plan.config.scheme;
+  result.plan.partitions = plan.config.effective_partitions();
+  result.plan.parallel_merge = plan.config.parallel_merge;
+  result.plan.salted = plan.config.salt_oversized_partitions;
+  result.plan.candidates = plan.candidates.size();
+  result.plan.sample_points = plan.sample_points;
+  result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
+  result.plan.planning_seconds = plan.planning_seconds;
+  result.plan.rationale = plan.rationale;
+  result.wall_seconds += plan.planning_seconds;
+  return result;
 }
 
 }  // namespace
@@ -399,9 +465,6 @@ void run_pipeline(const Input& input_view, std::size_t total_points, std::size_t
 std::vector<std::string> MRSkylineConfig::validate() const {
   std::vector<std::string> errors;
   if (servers < 1) errors.emplace_back("servers: need at least one server");
-  if (merge_fan_in == 1) {
-    errors.emplace_back("merge_fan_in: must be 0 (single reducer) or >= 2 (tree merge)");
-  }
   if (salt_oversized_partitions && salt_target_factor < 1.0) {
     errors.emplace_back("salt_target_factor: must be >= 1 when salting is enabled");
   }
@@ -447,15 +510,18 @@ std::string MRSkylineResult::summary() const {
   os << "  merge input:         " << local_total << " local-skyline points\n"
      << "  job 1 work:          " << partition_job.total_work_units() << " dominance tests, "
      << partition_job.shuffle_records << " shuffled records\n"
-     << "  merge rounds:        " << merge_rounds.size() << " (final work "
-     << merge_job().total_work_units() << ")\n";
+     << "  merge:               "
+     << (merge_job().reduce_tasks.size() == 1
+             ? std::string("single reducer (Algorithm 1)")
+             : "parallel, " + std::to_string(merge_job().reduce_tasks.size()) + " reducers")
+     << ", " << merge_job().total_work_units() << " work units\n";
   if (partition_job.blocks_pruned > 0 || partition_job.bytes_read > 0) {
     os << "  block input:         " << partition_job.bytes_read << " bytes read, "
        << partition_job.blocks_pruned << " blocks (" << partition_job.bytes_pruned
        << " bytes) pruned before read\n";
   }
   mr::FailureReport failures = partition_job.failure_report();
-  for (const auto& round : merge_rounds) failures += round.failure_report();
+  failures += merge_job().failure_report();
   if (!failures.empty()) {
     os << "  fault tolerance:     " << failures.tasks_retried << " tasks retried, "
        << failures.wasted_records << " records + " << failures.wasted_work_units
@@ -486,44 +552,7 @@ MRSkylineResult run_mr_skyline(const data::PointSet& input, const MRSkylineConfi
   // this — the existing contract is that `scheme` is ignored when the caller
   // hands in a fitted partitioner (the QueryEngine plans before preparing).
   if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    AdaptivePlannerOptions popts;
-    popts.sample_seed = config.fit_sample_seed;
-    const AdaptivePlanner planner(popts);
-    AdaptivePlan plan;
-    {
-      common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
-      plan = planner.plan(input, config);
-      plan_span.arg("scheme", part::to_string(plan.config.scheme));
-      plan_span.arg("partitions", plan.config.effective_partitions());
-      plan_span.arg("candidates", plan.candidates.size());
-      plan_span.arg("fallback", plan.fallback ? 1 : 0);
-      plan_span.arg("sample_points", plan.sample_points);
-    }
-    MRSkylineResult result = run_mr_skyline(input, plan.config);
-
-    // Refine the process-wide cost model with what actually happened before
-    // folding the planning time into the reported wall.
-    std::uint64_t work = result.partition_job.total_work_units();
-    std::uint64_t shuffled = result.partition_job.shuffle_records;
-    for (const auto& round : result.merge_rounds) {
-      work += round.total_work_units();
-      shuffled += round.shuffle_records;
-    }
-    CostModel::process().observe_run(work, shuffled, result.wall_seconds);
-
-    result.plan.engaged = true;
-    result.plan.fallback = plan.fallback;
-    result.plan.scheme = plan.config.scheme;
-    result.plan.partitions = plan.config.effective_partitions();
-    result.plan.merge_fan_in = plan.config.merge_fan_in;
-    result.plan.salted = plan.config.salt_oversized_partitions;
-    result.plan.candidates = plan.candidates.size();
-    result.plan.sample_points = plan.sample_points;
-    result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
-    result.plan.planning_seconds = plan.planning_seconds;
-    result.plan.rationale = plan.rationale;
-    result.wall_seconds += plan.planning_seconds;
-    return result;
+    return run_planned(input, config);
   }
   common::Timer wall;
   common::TraceRecorder* const trace = config.run_options.trace;
@@ -601,44 +630,8 @@ MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
   // scheme=auto, streamed: the planner samples the source block by block and
   // discounts map/shuffle costs by the predicted block-pruning savings.
   if (config.scheme == part::Scheme::kAuto && config.prepared_partitioner == nullptr) {
-    AdaptivePlannerOptions popts;
-    popts.sample_seed = config.fit_sample_seed;
-    const AdaptivePlanner planner(popts);
-    AdaptivePlan plan;
-    {
-      common::ScopedSpan plan_span(config.run_options.trace, "adaptive-plan", "plan");
-      plan = planner.plan(source, config);
-      plan_span.arg("scheme", part::to_string(plan.config.scheme));
-      plan_span.arg("partitions", plan.config.effective_partitions());
-      plan_span.arg("candidates", plan.candidates.size());
-      plan_span.arg("fallback", plan.fallback ? 1 : 0);
-      plan_span.arg("sample_points", plan.sample_points);
-    }
-    MRSkylineResult result = run_mr_skyline(source, plan.config);
-
-    std::uint64_t work = result.partition_job.total_work_units();
-    std::uint64_t shuffled = result.partition_job.shuffle_records;
-    for (const auto& round : result.merge_rounds) {
-      work += round.total_work_units();
-      shuffled += round.shuffle_records;
-    }
-    CostModel::process().observe_run(work, shuffled, result.wall_seconds);
-
-    result.plan.engaged = true;
-    result.plan.fallback = plan.fallback;
-    result.plan.scheme = plan.config.scheme;
-    result.plan.partitions = plan.config.effective_partitions();
-    result.plan.merge_fan_in = plan.config.merge_fan_in;
-    result.plan.salted = plan.config.salt_oversized_partitions;
-    result.plan.candidates = plan.candidates.size();
-    result.plan.sample_points = plan.sample_points;
-    result.plan.predicted_seconds = plan.fallback ? 0.0 : plan.chosen.total_seconds();
-    result.plan.planning_seconds = plan.planning_seconds;
-    result.plan.rationale = plan.rationale;
-    result.wall_seconds += plan.planning_seconds;
-    return result;
+    return run_planned(source, config);
   }
-
   common::Timer wall;
   common::TraceRecorder* const trace = config.run_options.trace;
   common::ScopedSpan pipeline_span(trace, "mr-skyline", "pipeline");

@@ -10,9 +10,17 @@
 //               Algorithm 1 has no combiner — see MRSkylineConfig)
 //     reduce  — BNL computing each partition's local skyline  [Alg. 1, l.7-10]
 //               MR-Grid's prunable partitions are skipped here (§III-B).
-//   Job 2 "merge":
-//     map     — re-key every local-skyline point to the null key [l.12-14]
-//     reduce  — one global BNL merge                             [l.15]
+//   Job 2, one of two final phases (MRSkylineConfig::parallel_merge):
+//     "merge-round-1" — Algorithm 1's single-reducer merge (the default):
+//       map    — re-key every local-skyline point to the null key [l.12-14]
+//       reduce — one global BNL merge                             [l.15]
+//     "parallel-merge" — every scheme=auto plan's final phase:
+//       driver — sort the union U of the local skylines once in SFS order
+//                (skyline::sfs_order) and pack it into one tiled window that
+//                every reducer reads (Hadoop's distributed cache)
+//       map    — re-key every point by its rank in U
+//       reduce — 2 × servers reducers; a point survives iff no earlier point
+//                of U dominates it. The output is ordered by id.
 //
 // All dominance tests are charged to the engine's work counters, so the
 // cluster simulator (mr::simulate_pipeline) can turn one in-process run into
@@ -54,7 +62,9 @@ struct MRSkylineConfig {
   /// skyline of its input and accumulate its dominance tests into the stats
   /// (pass-through to the cluster cost model). This is the hook for plugging
   /// a custom kernel (e.g. skyline::sfs_skyline, or a fault-injecting one in
-  /// tests) into the pipeline without coupling the core to it.
+  /// tests) into the pipeline without coupling the core to it. Under
+  /// `parallel_merge` the override serves the local skylines only: the
+  /// parallel phase's prefix scan is not a whole-set skyline kernel.
   std::function<data::PointSet(const data::PointSet&, skyline::SkylineStats*)>
       local_skyline_override;
 
@@ -70,19 +80,20 @@ struct MRSkylineConfig {
   /// MR-Dim only: attribute carrying the slabs.
   std::size_t split_dim = 0;
 
-  /// Merge topology. 0 (the paper's Algorithm 1): one job funnels every
-  /// local-skyline point to a single reducer. >= 2: tree merge — repeated
-  /// jobs combine `merge_fan_in` partitions per reducer until one group
-  /// remains, trading extra job startups for parallel merge rounds. This is
-  /// the library's answer to the Fig. 6 single-reducer bottleneck (the
-  /// paper's Twister/iterative-MapReduce remark, §II).
-  std::size_t merge_fan_in = 0;
+  /// Final phase. false (the paper's Algorithm 1): one job funnels every
+  /// local-skyline point to a single BNL reducer. true: the one-round
+  /// parallel merge — the union U of the local skylines is sorted once in
+  /// SFS order and broadcast, and 2 × servers reducers (the modelled
+  /// cluster's reduce slots) each keep the points of U that no earlier point
+  /// of U dominates. The library's answer to the Fig. 6 single-reducer
+  /// bottleneck; every scheme=auto plan selects it.
+  bool parallel_merge = false;
 
   /// Engine execution (sequential by default; results identical either way).
   /// Under kThreads the pipeline creates one persistent worker pool and
-  /// reuses it for scheme=auto planning, the partition count, job 1 and
-  /// every merge round; set run_options.pool to share a caller-owned pool
-  /// across many run_mr_skyline calls instead.
+  /// reuses it for scheme=auto planning, the partition count, job 1 and the
+  /// merge job; set run_options.pool to share a caller-owned pool across
+  /// many run_mr_skyline calls instead.
   mr::RunOptions run_options;
 
   /// Skew cure (extension): split any partition whose population exceeds
@@ -152,7 +163,7 @@ struct PlanDecision {
   bool fallback = false;  ///< planner fell back to the static heuristic
   part::Scheme scheme = part::Scheme::kAngular;  ///< resolved scheme
   std::size_t partitions = 0;
-  std::size_t merge_fan_in = 0;
+  bool parallel_merge = false;  ///< the final phase that ran
   bool salted = false;
   std::size_t candidates = 0;     ///< plans scored (0 on fallback)
   std::size_t sample_points = 0;  ///< planning sample actually analyzed
@@ -166,8 +177,9 @@ struct MRSkylineResult {
   std::vector<data::PointSet> local_skylines;    ///< per partition (post Job 1)
   part::PartitionReport partition_report;        ///< sizes / balance / pruning
   mr::JobMetrics partition_job;                  ///< Job 1 metrics
-  /// All merge rounds in execution order (size 1 with merge_fan_in = 0,
-  /// never empty after a run).
+  /// The merge job's metrics: exactly one element after a run (single
+  /// reducer or parallel phase, both one round), so the pipeline's jobs are
+  /// partition_job followed by merge_rounds.
   std::vector<mr::JobMetrics> merge_rounds;
   /// Planner decision trail (engaged only on scheme=auto runs). When engaged,
   /// `wall_seconds` includes `plan.planning_seconds` — the planner is part of
@@ -177,10 +189,8 @@ struct MRSkylineResult {
 
   MRSkylineResult() : skyline(1) {}
 
-  /// Final merge round metrics. This *is* the last element of merge_rounds —
-  /// the "always aliases the last element" contract used to be a doc comment
-  /// over a separate copy; it is now structural. Requires a completed run
-  /// (throws on a default-constructed result).
+  /// The merge job's metrics: the last (only) element of merge_rounds.
+  /// Requires a completed run (throws on a default-constructed result).
   [[nodiscard]] const mr::JobMetrics& merge_job() const {
     MRSKY_REQUIRE(!merge_rounds.empty(), "merge_job() requires a completed run");
     return merge_rounds.back();
@@ -210,14 +220,16 @@ struct MRSkylineResult {
 /// the job-1 metrics report `blocks_pruned`, `bytes_read` and
 /// `bytes_pruned`. The skyline is the SAME POINT SET as the in-memory
 /// overload computes on the same data, every member bitwise identical
-/// (compare canonically, e.g. ordered by id). Result *order*
-/// additionally matches whenever both runs use the same partitioning —
-/// e.g. a shared config.prepared_partitioner, or fit_sample_size == 0 on a
-/// resident source. It can differ otherwise because an out-of-core run must
-/// fit the partitioner on a bounded block sample where the in-memory run
-/// fits on everything, and partition boundaries steer the merge cascade's
-/// emission order (never its membership). Sources with a resident PointSet
-/// (data::PointSetSource) short-circuit to the in-memory path.
+/// (compare canonically, e.g. ordered by id). Under parallel_merge the
+/// output is ordered by id, so the order matches too. Under the
+/// single-reducer merge it matches whenever both runs use the same
+/// partitioning — e.g. a shared config.prepared_partitioner, or
+/// fit_sample_size == 0 on a resident source — and can differ otherwise,
+/// because an out-of-core run must fit the partitioner on a bounded block
+/// sample where the in-memory run fits on everything, and partition
+/// boundaries steer the BNL merge's emission order (never its membership).
+/// Sources with a resident PointSet (data::PointSetSource) short-circuit to
+/// the in-memory path.
 [[nodiscard]] MRSkylineResult run_mr_skyline(const data::DatasetSource& source,
                                              const MRSkylineConfig& config);
 

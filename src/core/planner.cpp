@@ -29,22 +29,22 @@ PlannedConfig plan_config(const PlannerInputs& inputs) {
   planned.config.num_partitions = 0;  // 2 x servers
   why << "partitions=2x servers (" << 2 * inputs.servers << "): paper SIII-A default\n";
 
-  // Merge topology: expected merge input ~ partitions x per-partition skyline.
+  // Final phase: expected merge input ~ partitions x per-partition skyline.
   // Use the independence law as an upper-ish estimate of the global skyline
   // and assume locals sum to a small multiple of it.
   const double expected_sky =
       skyline::expected_skyline_size(inputs.cardinality, inputs.dim);
   const double expected_merge_input = 3.0 * expected_sky;
   if (expected_merge_input > 20000.0) {
-    planned.config.merge_fan_in = 4;
-    why << "merge=tree(fan-in 4): expected merge input ~"
+    planned.config.parallel_merge = true;
+    why << "merge=parallel: expected merge input ~"
         << static_cast<std::size_t>(expected_merge_input)
-        << " points, parallel merge rounds beat the extra job startups\n";
+        << " points, split by point across 2x servers reducers in one round\n";
   } else {
-    planned.config.merge_fan_in = 0;
+    planned.config.parallel_merge = false;
     why << "merge=single reducer: expected merge input ~"
         << static_cast<std::size_t>(expected_merge_input)
-        << " points, one round is cheapest\n";
+        << " points, small enough for Algorithm 1's one BNL reducer\n";
   }
 
   // Salting: direction concentration (and thus partition skew) grows with d.

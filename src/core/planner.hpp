@@ -8,9 +8,9 @@
 //    pivot cells balance better).
 //  * partitions: the paper's 2 × servers; MR-Angle tolerates more
 //    (ablation_partition_count) but gains nothing at these sizes.
-//  * merge topology: single reducer until the expected merge input is large
-//    enough that parallel merge rounds beat their extra job startups
-//    (ablation_merge_fanin); the expected skyline size comes from the
+//  * final phase: Algorithm 1's single reducer until the expected merge
+//    input is large, then the one-round parallel merge
+//    (ablation_merge_parallel); the expected skyline size comes from the
 //    independent-data law (estimate.hpp), a deliberate upper-ish bound.
 //  * salting: on when the expected per-partition load is very uneven —
 //    approximated by dimension (direction concentration grows with d;

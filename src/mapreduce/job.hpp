@@ -24,8 +24,8 @@
 //
 // Execution is sequential or thread-pooled (ExecutionMode). Under kThreads
 // the engine either borrows the caller's persistent RunOptions::pool (reused
-// across jobs — run_mr_skyline threads one pool through job 1 and every
-// merge round) or creates one private pool per engine call, never one per
+// across jobs — run_mr_skyline threads one pool through job 1 and the
+// merge job) or creates one private pool per engine call, never one per
 // phase. Results and metrics are identical in both modes — bitwise, except
 // for the measured wall-clock fields (TaskMetrics::wall_ns,
 // JobMetrics::shuffle_ns) — because tasks are pure, shuffle metrics are

@@ -40,7 +40,7 @@ struct FailureReport {
     return tasks_retried == 0 && records_skipped == 0 && events.empty();
   }
 
-  /// Pipeline aggregation (e.g. job 1 + every merge round).
+  /// Pipeline aggregation (e.g. job 1 + the merge job).
   FailureReport& operator+=(const FailureReport& other) {
     tasks_retried += other.tasks_retried;
     wasted_records += other.wasted_records;

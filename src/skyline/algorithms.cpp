@@ -166,17 +166,10 @@ data::PointSet sfs_skyline(const data::PointSet& ps, SkylineStats* stats_out) {
   SkylineStats& stats = stats_out != nullptr ? *stats_out : local_stats;
   stats.points_in += ps.size();
 
-  // Presort by the monotone score sum(coords): if score(a) < score(b) then b
-  // cannot dominate a, so the window only ever grows.
-  std::vector<std::size_t> order(ps.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> score(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const auto p = ps.point(i);
-    score[i] = std::accumulate(p.begin(), p.end(), 0.0);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return score[a] < score[b]; });
+  // A later point in SFS order can never dominate an earlier one, so the
+  // window only ever grows.
+  const std::vector<std::size_t> order =
+      sfs_order(ps.size(), [&ps](std::size_t i) { return ps.point(i); });
 
   TiledWindow window(ps.dim());
   const bool prefilter = prefilter_enabled();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #if defined(MRSKY_NATIVE) && (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -105,6 +106,17 @@ void set_prefilter_enabled(bool enabled) noexcept {
 }
 
 bool prefilter_enabled() noexcept { return g_prefilter_enabled.load(std::memory_order_relaxed); }
+
+std::size_t TiledWindow::first_dominator(const double* p, std::size_t prefix) const noexcept {
+  MRSKY_ASSERT(prefix <= size_, "first_dominator prefix exceeds the window");
+  for (std::size_t t = 0; t * kTileWidth < prefix; ++t) {
+    const std::size_t lanes = std::min(kTileWidth, prefix - t * kTileWidth);
+    const std::uint32_t mask = (std::uint32_t{1} << lanes) - 1;
+    const std::uint32_t hits = dominators_in_block(p, tile_data(t), dim_) & mask;
+    if (hits != 0) return t * kTileWidth + static_cast<std::size_t>(std::countr_zero(hits));
+  }
+  return prefix;
+}
 
 void TiledWindow::begin_lane() {
   if (size_ % kTileWidth == 0) {

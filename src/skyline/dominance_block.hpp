@@ -194,6 +194,13 @@ class TiledWindow {
   /// tile_drops[tile]; surviving lanes keep their relative order.
   void compact(std::span<const std::uint32_t> tile_drops);
 
+  /// Index of the first lane in [0, prefix) whose point dominates `p` (dim
+  /// contiguous doubles), or `prefix` when none does; requires prefix <=
+  /// size(). Scans whole tiles with dominators_in_block. The scalar scan of
+  /// the same lanes makes `index + 1` dominance tests on a hit and `prefix`
+  /// on a miss — callers charge those counts.
+  [[nodiscard]] std::size_t first_dominator(const double* p, std::size_t prefix) const noexcept;
+
  private:
   void begin_lane();
 

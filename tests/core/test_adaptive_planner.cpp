@@ -51,7 +51,18 @@ TEST(AdaptivePlanner, SmallDatasetsFallBackToStaticHeuristic) {
   EXPECT_TRUE(plan.candidates.empty());
   EXPECT_NE(plan.config.scheme, part::Scheme::kAuto);
   EXPECT_TRUE(plan.config.validate().empty());
+  EXPECT_TRUE(plan.config.parallel_merge);  // every auto plan, fallback too
   EXPECT_NE(plan.rationale.find("static heuristic"), std::string::npos);
+}
+
+TEST(AdaptivePlanner, EveryPlanEndsInTheParallelMerge) {
+  const auto ps = workload();
+  const AdaptivePlan plan = AdaptivePlanner(pinned_options()).plan(ps, MRSkylineConfig{});
+  EXPECT_FALSE(plan.fallback);
+  EXPECT_TRUE(plan.config.parallel_merge);
+  // (scheme x Np x salting): at most 4 x 3 x 2 candidates.
+  EXPECT_LE(plan.candidates.size(), 24u);
+  EXPECT_NE(plan.rationale.find("merge=parallel"), std::string::npos);
 }
 
 TEST(AdaptivePlanner, PlanIsDeterministic) {
@@ -61,7 +72,6 @@ TEST(AdaptivePlanner, PlanIsDeterministic) {
   const AdaptivePlan b = planner.plan(ps, MRSkylineConfig{});
   EXPECT_EQ(a.chosen.scheme, b.chosen.scheme);
   EXPECT_EQ(a.chosen.partitions, b.chosen.partitions);
-  EXPECT_EQ(a.chosen.merge_fan_in, b.chosen.merge_fan_in);
   EXPECT_EQ(a.chosen.salted, b.chosen.salted);
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
@@ -148,7 +158,6 @@ bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) 
 void expect_bitwise_equal(const PlanCandidate& a, const PlanCandidate& b, const std::string& what) {
   EXPECT_EQ(a.scheme, b.scheme) << what;
   EXPECT_EQ(a.partitions, b.partitions) << what;
-  EXPECT_EQ(a.merge_fan_in, b.merge_fan_in) << what;
   EXPECT_EQ(a.salted, b.salted) << what;
   EXPECT_TRUE(same_bits(a.balance_cv, b.balance_cv)) << what;
   EXPECT_TRUE(same_bits(a.prunable_fraction, b.prunable_fraction)) << what;
@@ -170,7 +179,7 @@ void expect_bitwise_equal(const AdaptivePlan& pooled, const AdaptivePlan& serial
   expect_bitwise_equal(pooled.chosen, serial.chosen, "chosen");
   EXPECT_EQ(pooled.config.scheme, serial.config.scheme);
   EXPECT_EQ(pooled.config.num_partitions, serial.config.num_partitions);
-  EXPECT_EQ(pooled.config.merge_fan_in, serial.config.merge_fan_in);
+  EXPECT_EQ(pooled.config.parallel_merge, serial.config.parallel_merge);
   EXPECT_EQ(pooled.config.salt_oversized_partitions, serial.config.salt_oversized_partitions);
   EXPECT_TRUE(same_bits(pooled.config.salt_target_factor, serial.config.salt_target_factor));
   EXPECT_EQ(pooled.config.servers, serial.config.servers);
@@ -270,7 +279,7 @@ TEST(SchemeAuto, ReplayingResolvedConfigGivesSameIds) {
   MRSkylineConfig resolved;
   resolved.scheme = auto_run.plan.scheme;
   resolved.num_partitions = auto_run.plan.partitions;
-  resolved.merge_fan_in = auto_run.plan.merge_fan_in;
+  resolved.parallel_merge = auto_run.plan.parallel_merge;
   resolved.salt_oversized_partitions = auto_run.plan.salted;
   const MRSkylineResult replay = run_mr_skyline(ps, resolved);
   EXPECT_FALSE(replay.plan.engaged);

@@ -26,12 +26,6 @@ TEST(ConfigValidate, EachProblemIsDetected) {
   }
   {
     core::MRSkylineConfig c;
-    c.merge_fan_in = 1;
-    ASSERT_EQ(c.validate().size(), 1u);
-    EXPECT_NE(c.validate()[0].find("merge_fan_in"), std::string::npos);
-  }
-  {
-    core::MRSkylineConfig c;
     c.salt_oversized_partitions = true;
     c.salt_target_factor = 0.5;
     ASSERT_EQ(c.validate().size(), 1u);
@@ -61,21 +55,19 @@ TEST(ConfigValidate, EachProblemIsDetected) {
 TEST(ConfigValidate, AllProblemsReportedInOneThrow) {
   core::MRSkylineConfig c;
   c.servers = 0;
-  c.merge_fan_in = 1;
   c.salt_oversized_partitions = true;
   c.salt_target_factor = 0.0;
   c.run_options.max_task_attempts = 0;
   c.run_options.task_failure_probability = 2.0;
-  EXPECT_EQ(c.validate().size(), 5u);
+  EXPECT_EQ(c.validate().size(), 4u);
 
   try {
     c.validate_or_throw();
     FAIL() << "validate_or_throw did not throw";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("5 problems"), std::string::npos) << what;
+    EXPECT_NE(what.find("4 problems"), std::string::npos) << what;
     EXPECT_NE(what.find("servers"), std::string::npos) << what;
-    EXPECT_NE(what.find("merge_fan_in"), std::string::npos) << what;
     EXPECT_NE(what.find("salt_target_factor"), std::string::npos) << what;
     EXPECT_NE(what.find("max_task_attempts"), std::string::npos) << what;
     EXPECT_NE(what.find("task_failure_probability"), std::string::npos) << what;
@@ -86,14 +78,14 @@ TEST(ConfigValidate, RunMrSkylineRejectsBadConfigBeforeTouchingData) {
   const auto ps = data::generate(data::Distribution::kIndependent, 50, 3, 7);
   core::MRSkylineConfig c;
   c.servers = 0;
-  c.merge_fan_in = 1;
+  c.run_options.max_task_attempts = 0;
   try {
     (void)core::run_mr_skyline(ps, c);
     FAIL() << "run_mr_skyline accepted an invalid config";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("servers"), std::string::npos) << what;
-    EXPECT_NE(what.find("merge_fan_in"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_task_attempts"), std::string::npos) << what;
   }
 }
 
@@ -114,12 +106,14 @@ TEST(ConfigValidate, PlannerOutputAlwaysValidates) {
 TEST(ConfigValidate, MergeJobAliasesLastMergeRound) {
   const auto ps = data::generate(data::Distribution::kAnticorrelated, 200, 3, 11);
   core::MRSkylineConfig config;
-  config.merge_fan_in = 2;  // force multiple rounds
-  const auto result = core::run_mr_skyline(ps, config);
-  ASSERT_FALSE(result.merge_rounds.empty());
-  // The aliasing contract is structural now: merge_job() IS the last round,
-  // not a copy that could drift.
-  EXPECT_EQ(&result.merge_job(), &result.merge_rounds.back());
+  for (const bool parallel : {false, true}) {
+    config.parallel_merge = parallel;
+    const auto result = core::run_mr_skyline(ps, config);
+    // One merge job under either final phase, and merge_job() IS it, not a
+    // copy that could drift.
+    ASSERT_EQ(result.merge_rounds.size(), 1u);
+    EXPECT_EQ(&result.merge_job(), &result.merge_rounds.back());
+  }
 }
 
 TEST(ConfigValidate, MergeJobThrowsBeforeAnyRun) {

@@ -64,13 +64,24 @@ TEST(KernelOverride, OverrideTakesPrecedenceOverEnum) {
   EXPECT_TRUE(skyline::same_ids(result.skyline, skyline::bnl_skyline(ps)));
 }
 
-TEST(KernelOverride, WorksWithTreeMerge) {
+TEST(KernelOverride, WorksWithParallelMerge) {
+  // Under the parallel merge the override serves the local skylines only:
+  // one call per non-empty partition key, none from the merge job.
   const PointSet ps = data::generate(data::Distribution::kIndependent, 700, 3, 29);
+  int calls = 0;
   auto config = sfs_config();
-  config.merge_fan_in = 4;
+  config.parallel_merge = true;
+  config.local_skyline_override = [&calls](const PointSet& points,
+                                           skyline::SkylineStats* stats) {
+    ++calls;
+    return skyline::sfs_skyline(points, stats);
+  };
   const auto result = run_mr_skyline(ps, config);
   EXPECT_TRUE(skyline::same_ids(result.skyline, skyline::bnl_skyline(ps)));
-  EXPECT_GT(result.merge_rounds.size(), 1u);
+  std::size_t non_empty_keys = 0;
+  for (const auto& task : result.partition_job.reduce_tasks) non_empty_keys += task.records_in > 0;
+  EXPECT_EQ(static_cast<std::size_t>(calls), non_empty_keys);
+  EXPECT_EQ(result.merge_job().reduce_tasks.size(), 2 * config.servers);
 }
 
 }  // namespace

@@ -38,15 +38,15 @@ TEST(Planner, SmallWorkloadsKeepSingleReducer) {
   PlannerInputs in;
   in.cardinality = 1000;
   in.dim = 3;
-  EXPECT_EQ(plan_config(in).config.merge_fan_in, 0u);
+  EXPECT_FALSE(plan_config(in).config.parallel_merge);
 }
 
-TEST(Planner, HugeHighDimensionalWorkloadsGetTreeMerge) {
+TEST(Planner, HugeHighDimensionalWorkloadsGetParallelMerge) {
   PlannerInputs in;
   in.cardinality = 1000000;
   in.dim = 10;
   const auto planned = plan_config(in);
-  EXPECT_EQ(planned.config.merge_fan_in, 4u);
+  EXPECT_TRUE(planned.config.parallel_merge);
   EXPECT_TRUE(planned.config.salt_oversized_partitions);
 }
 

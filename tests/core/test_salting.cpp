@@ -73,10 +73,10 @@ TEST(Salting, NoopOnBalancedData) {
   EXPECT_EQ(a.partition_job.reduce_tasks.size(), b.partition_job.reduce_tasks.size());
 }
 
-TEST(Salting, WorksWithTreeMergeAndCombiner) {
+TEST(Salting, WorksWithParallelMergeAndCombiner) {
   const PointSet ps = clumped_workload(3000);
   MRSkylineConfig config = salted_config(true);
-  config.merge_fan_in = 4;
+  config.parallel_merge = true;
   config.use_combiner = true;
   const auto result = run_mr_skyline(ps, config);
   EXPECT_TRUE(skyline::same_ids(result.skyline, skyline::bnl_skyline(ps)));

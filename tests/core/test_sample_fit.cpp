@@ -74,7 +74,8 @@ TEST(Summary, MentionsTheHeadlineNumbers) {
   const std::string text = result.summary();
   EXPECT_NE(text.find("skyline points:"), std::string::npos);
   EXPECT_NE(text.find(std::to_string(result.skyline.size())), std::string::npos);
-  EXPECT_NE(text.find("merge rounds:"), std::string::npos);
+  EXPECT_NE(text.find("merge:"), std::string::npos);
+  EXPECT_NE(text.find("single reducer"), std::string::npos);
   EXPECT_NE(text.find("balance CV"), std::string::npos);
 }
 

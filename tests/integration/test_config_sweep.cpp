@@ -1,6 +1,6 @@
 // Randomised config-sweep differential testing (ISSUE 4): ~200
 // deterministically sampled MRSkylineConfig combinations — partitioning
-// scheme, partition/map-task counts, merge fan-in, salting, combiner, fit
+// scheme, partition/map-task counts, final phase, salting, combiner, fit
 // sampling, fault injection — each run under both execution modes on small
 // fixed-seed workloads. Every run must produce exactly the naive-skyline
 // ground truth, and the kSequential and kThreads outputs must be
@@ -60,8 +60,7 @@ SweepCase make_case(std::uint64_t index) {
     cfg.num_partitions += cfg.num_partitions % 2;
   }
   cfg.num_map_tasks = rng.uniform() < 0.5 ? 0 : 1 + rng.uniform_index(8);
-  const std::size_t fans[] = {0, 0, 2, 3, 4};
-  cfg.merge_fan_in = fans[rng.uniform_index(std::size(fans))];
+  cfg.parallel_merge = rng.uniform_index(5) >= 2;
   cfg.use_combiner = rng.uniform() < 0.5;
   cfg.apply_grid_pruning = rng.uniform() < 0.8;
   cfg.salt_oversized_partitions = rng.uniform() < 0.3;
@@ -80,7 +79,7 @@ SweepCase make_case(std::uint64_t index) {
                   " d=" + std::to_string(dim) + " scheme=" + part::to_string(cfg.scheme) +
                   " servers=" + std::to_string(cfg.servers) +
                   " parts=" + std::to_string(cfg.num_partitions) +
-                  " fan=" + std::to_string(cfg.merge_fan_in) +
+                  (cfg.parallel_merge ? " parallel-merge" : "") +
                   (cfg.use_combiner ? " combiner" : "") +
                   (cfg.salt_oversized_partitions ? " salted" : "") +
                   (cfg.run_options.task_failure_probability > 0 ? " faults" : "");
@@ -134,6 +133,10 @@ TEST_P(ConfigSweep, MatchesGroundTruthUnderBothModes) {
   EXPECT_TRUE(SkylineBits(sequential.skyline) == SkylineBits(threaded.skyline))
       << "kSequential and kThreads outputs differ bytewise on " << c.description;
   EXPECT_EQ(sequential.merge_rounds.size(), threaded.merge_rounds.size()) << c.description;
+  EXPECT_EQ(sequential.merge_job().counter_totals(), threaded.merge_job().counter_totals())
+      << c.description;
+  EXPECT_EQ(sequential.merge_job().total_work_units(), threaded.merge_job().total_work_units())
+      << c.description;
 
   if (traced) {
     const auto spans = recorder.spans();

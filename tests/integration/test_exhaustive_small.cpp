@@ -1,17 +1,21 @@
 // Exhaustive small-case testing: enumerate EVERY 2-D dataset with up to four
 // points and coordinates in {0, 1, 2}, and check that all four scan
-// algorithms and the bounded BNL agree with a first-principles dominance
-// check. Randomised suites sample the space;
+// algorithms, the bounded BNL and the pipeline's parallel merge (scheme=auto
+// and explicit, salted, under both execution modes) agree with a
+// first-principles dominance check. Randomised suites sample the space;
 // this one covers a small corner of it completely — ties, duplicates and
 // degenerate layouts included, which is where skyline bugs live.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
+#include "src/core/mr_skyline.hpp"
 #include "src/dataset/point_set.hpp"
 #include "src/skyline/algorithms.hpp"
 #include "src/skyline/bnl_bounded.hpp"
 #include "src/skyline/verify.hpp"
+#include "tests/support/run_compare.hpp"
 
 namespace mrsky {
 namespace {
@@ -60,6 +64,40 @@ TEST_P(ExhaustiveSmall, AllAlgorithmsMatchReference) {
     check(skyline::dc_skyline(ps), "dc");
     check(skyline::bnl_skyline_bounded(ps, 1), "bnl-bounded-w1");
     check(skyline::bnl_skyline_bounded(ps, 2), "bnl-bounded-w2");
+  }
+}
+
+TEST_P(ExhaustiveSmall, ParallelMergeMatchesReference) {
+  const std::size_t n = GetParam();
+  std::size_t total = 1;
+  for (std::size_t i = 0; i < n; ++i) total *= 9;
+  common::ThreadPool pool(4);
+
+  for (std::size_t code = 0; code < total; ++code) {
+    const data::PointSet ps = decode(code, n);
+    const auto expected = reference_skyline(ps);
+    // scheme=auto falls back to the static heuristic at this size and still
+    // ends in the parallel merge. Salting at the lowest target gives every
+    // partition holding two or more points its own sub-keys.
+    core::MRSkylineConfig auto_config;
+    auto_config.scheme = part::Scheme::kAuto;
+    auto_config.servers = 2;
+    core::MRSkylineConfig salted;
+    salted.scheme = part::Scheme::kGrid;
+    salted.servers = 2;
+    salted.parallel_merge = true;
+    salted.salt_oversized_partitions = true;
+    salted.salt_target_factor = 1.0;
+    for (const core::MRSkylineConfig& config : {auto_config, salted}) {
+      const auto sequential = core::run_mr_skyline(ps, config);
+      ASSERT_EQ(sorted_ids(sequential.skyline), expected)
+          << part::to_string(config.scheme) << " on dataset code " << code;
+      core::MRSkylineConfig threaded = config;
+      threaded.run_options.mode = mr::ExecutionMode::kThreads;
+      threaded.run_options.pool = &pool;
+      ASSERT_TRUE(test::same_run(sequential, core::run_mr_skyline(ps, threaded)))
+          << part::to_string(config.scheme) << " on dataset code " << code;
+    }
   }
 }
 

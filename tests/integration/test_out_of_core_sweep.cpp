@@ -17,6 +17,7 @@
 #include "src/dataset/generators.hpp"
 #include "src/dataset/source.hpp"
 #include "src/skyline/algorithms.hpp"
+#include "tests/support/run_compare.hpp"
 
 namespace mrsky {
 namespace {
@@ -42,7 +43,7 @@ Workload make_workload(std::uint64_t seed) {
   auto& config = w.config;
   config.scheme = rng.uniform() < 0.5 ? part::Scheme::kAngular : part::Scheme::kGrid;
   config.servers = 2 + rng.uniform_index(6);
-  config.merge_fan_in = (seed % 3 == 0) ? 0 : 2 + seed % 3;
+  config.parallel_merge = seed % 3 != 0;
   config.use_combiner = (seed % 2 == 1);
   (void)rng.uniform();  // once drew a pruning switch; kept so every seed's workload is unchanged
   config.run_options.mode = (seed % 2 == 0) ? mr::ExecutionMode::kSequential
@@ -63,8 +64,9 @@ Workload make_workload(std::uint64_t seed) {
 
 /// Rows of `ps` in ascending-id order — the canonical form for comparing
 /// skylines whose emission order differs (the streamed run fits its
-/// partitioner on a block sample, which steers the merge cascade's order but
-/// never its membership; see run_mr_skyline's DatasetSource contract).
+/// partitioner on a block sample, which steers the single-reducer merge's
+/// order but never its membership; see run_mr_skyline's DatasetSource
+/// contract).
 data::PointSet canonical_by_id(const data::PointSet& ps) {
   std::vector<std::size_t> order(ps.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -116,6 +118,45 @@ TEST_P(OutOfCoreSweep, StreamedRunMatchesResidentRunBitwise) {
     EXPECT_GT(metrics.shuffle_spilled_bytes, 0u) << w.description;
     EXPECT_GT(metrics.shuffle_spill_files, 0u) << w.description;
   }
+}
+
+TEST_P(OutOfCoreSweep, ParallelMergeStreamedMatchesResidentInOrder) {
+  // scheme=auto ends in the parallel merge, whose output is ordered by id:
+  // the streamed and resident runs agree bitwise and in order, even though
+  // they plan and fit on different samples. Faults and spilling ride along.
+  Workload w = make_workload(GetParam() + 7000);
+  w.config.scheme = part::Scheme::kAuto;
+  if (GetParam() % 3 == 1) {
+    w.config.run_options.task_failure_probability = 0.2;
+    w.config.run_options.max_task_attempts = 16;
+  }
+  const std::string path = testing::TempDir() + "/ooc_parallel_" +
+                           std::to_string(GetParam()) + ".mrb";
+  data::write_block_store(path, w.points.select(data::zorder_permutation(w.points)),
+                          w.block_rows);
+  const data::BlockStoreSource source(path);
+
+  const auto resident = core::run_mr_skyline(w.points, w.config);
+  const auto streamed = core::run_mr_skyline(source, w.config);
+  EXPECT_TRUE(streamed.plan.parallel_merge) << w.description;
+  EXPECT_EQ(streamed.merge_job().job_name, "parallel-merge") << w.description;
+  EXPECT_EQ(streamed.skyline, resident.skyline) << w.description;
+  EXPECT_EQ(sorted_ids(streamed.skyline), sorted_ids(skyline::naive_skyline(w.points)))
+      << w.description;
+
+  // An explicit scheme streamed under both execution modes: the same run,
+  // counter for counter.
+  core::MRSkylineConfig config = w.config;
+  config.scheme = part::Scheme::kAngular;
+  config.parallel_merge = true;
+  config.salt_oversized_partitions = GetParam() % 2 == 0;
+  config.salt_target_factor = 1.0;
+  config.run_options.mode = mr::ExecutionMode::kSequential;
+  const auto sequential = core::run_mr_skyline(source, config);
+  config.run_options.mode = mr::ExecutionMode::kThreads;
+  const auto threaded = core::run_mr_skyline(source, config);
+  EXPECT_TRUE(test::same_run(sequential, threaded)) << w.description;
+  EXPECT_EQ(sequential.skyline, resident.skyline) << w.description;
 }
 
 TEST_P(OutOfCoreSweep, PrunedBlocksContainNoSkylineMember) {

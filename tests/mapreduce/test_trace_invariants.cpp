@@ -1,6 +1,6 @@
 // Trace-invariant tests (ISSUE 4): the spans the engine and the cluster
 // simulator record must form a well-shaped timeline — every task traced,
-// retries before successes, merge rounds matching the fan-in arithmetic,
+// retries before successes, one merge job under either final phase,
 // no lane running two things at once — under both execution modes.
 #include <gtest/gtest.h>
 
@@ -27,15 +27,6 @@ core::MRSkylineResult traced_run(TraceRecorder& rec, core::MRSkylineConfig confi
                                  const data::PointSet& points) {
   config.run_options.trace = &rec;
   return core::run_mr_skyline(points, config);
-}
-
-std::size_t expected_merge_rounds(std::size_t groups, std::size_t fan_in) {
-  std::size_t rounds = 0;
-  do {
-    ++rounds;
-    groups = fan_in == 0 ? 1 : (groups + fan_in - 1) / fan_in;
-  } while (groups > 1);
-  return rounds;
 }
 
 std::size_t total_tasks(const mr::JobMetrics& job, bool reduce) {
@@ -89,24 +80,21 @@ TEST_P(TraceInvariants, EveryTaskAndShuffleIsTraced) {
             static_cast<std::int64_t>(result.partition_job.map_tasks.size()));
 }
 
-TEST_P(TraceInvariants, MergeRoundsMatchFanInArithmetic) {
-  for (std::size_t fan_in : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
+TEST_P(TraceInvariants, OneMergeJobUnderEitherFinalPhase) {
+  for (const bool parallel : {false, true}) {
     TraceRecorder rec;
     auto config = base_config();
-    config.merge_fan_in = fan_in;
+    config.parallel_merge = parallel;
     const auto result = traced_run(rec, config, workload());
-    // Job 1 runs one reduce task per partition key, and that key count seeds
-    // the merge-group arithmetic.
-    const std::size_t expected =
-        expected_merge_rounds(result.partition_job.reduce_tasks.size(), fan_in);
-    EXPECT_EQ(result.merge_rounds.size(), expected) << "fan_in=" << fan_in;
+    ASSERT_EQ(result.merge_rounds.size(), 1u) << "parallel=" << parallel;
     const auto spans = rec.spans();
-    for (std::size_t round = 1; round <= expected; ++round) {
-      EXPECT_EQ(test::spans_named(spans, "merge-round-" + std::to_string(round)).size(), 1u)
-          << "fan_in=" << fan_in;
-    }
-    EXPECT_EQ(test::spans_named(spans, "merge-round-" + std::to_string(expected + 1)).size(),
-              0u);
+    const char* ran = parallel ? "parallel-merge" : "merge-round-1";
+    const char* other = parallel ? "merge-round-1" : "parallel-merge";
+    ASSERT_EQ(test::spans_named(spans, ran).size(), 1u) << ran;
+    EXPECT_EQ(test::spans_named(spans, other).size(), 0u) << other;
+    // The merge job's span records the reducer count it ran with.
+    EXPECT_EQ(test::spans_named(spans, ran)[0]->arg_int("reduce_tasks"),
+              static_cast<std::int64_t>(parallel ? 2 * config.servers : 1));
   }
 }
 
@@ -166,7 +154,7 @@ TEST(TraceInvariantsModes, SkylineIdenticalAcrossModesWithTracingOn) {
     TraceRecorder rec;
     core::MRSkylineConfig config;
     config.servers = 3;
-    config.merge_fan_in = 2;
+    config.parallel_merge = true;
     config.run_options.mode = modes[m];
     config.run_options.task_failure_probability = 0.2;
     config.run_options.max_task_attempts = 16;
@@ -187,7 +175,7 @@ class SimulatorTrace : public testing::Test {
   std::vector<mr::JobMetrics> pipeline_jobs() {
     core::MRSkylineConfig config;
     config.servers = 4;
-    config.merge_fan_in = 2;
+    config.parallel_merge = true;
     const auto result = core::run_mr_skyline(workload(), config);
     std::vector<mr::JobMetrics> jobs;
     jobs.push_back(result.partition_job);

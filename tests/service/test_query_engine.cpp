@@ -393,14 +393,15 @@ TEST(QueryEngine, InvalidQueryThrowsEveryProblemAtOnce) {
 TEST(QueryEngine, ConstructionValidatesConfigWithAllErrors) {
   service::QueryEngineOptions options;
   options.config.servers = 0;
-  options.config.merge_fan_in = 1;
+  options.config.salt_oversized_partitions = true;
+  options.config.salt_target_factor = 0.5;
   try {
     service::QueryEngine engine(workload(), options);
     FAIL() << "constructor accepted an invalid config";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("servers"), std::string::npos) << what;
-    EXPECT_NE(what.find("merge_fan_in"), std::string::npos) << what;
+    EXPECT_NE(what.find("salt_target_factor"), std::string::npos) << what;
   }
 }
 

@@ -5,7 +5,9 @@
 #include <tuple>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/dataset/generators.hpp"
+#include "src/dataset/transforms.hpp"
 #include "src/skyline/verify.hpp"
 
 namespace mrsky::skyline {
@@ -176,6 +178,50 @@ TEST(SfsSkyline, CheaperThanBnlOnAnticorrelated) {
   (void)bnl_skyline(ps, &bnl_stats);
   (void)sfs_skyline(ps, &sfs_stats);
   EXPECT_LE(sfs_stats.dominance_tests, bnl_stats.dominance_tests * 2);
+}
+
+TEST(SfsSkyline, TiedScoreDominatorIsNotKept) {
+  // q = (0, 1) dominates p = (1e-20, 1), but 1e-20 + 1 == 1 in doubles: the
+  // scores tie. Whatever the input order, SFS must drop p, as BNL does.
+  for (const bool p_first : {true, false}) {
+    PointSet ps(2);
+    const std::vector<double> p = {1e-20, 1.0};
+    const std::vector<double> q = {0.0, 1.0};
+    ps.push_back(p_first ? p : q, 0);
+    ps.push_back(p_first ? q : p, 1);
+    const PointSet sky = sfs_skyline(ps);
+    ASSERT_EQ(sky.size(), 1u) << "p_first=" << p_first;
+    EXPECT_EQ(sky.point(0)[0], 0.0);
+    EXPECT_EQ(sorted_ids(sky), sorted_ids(bnl_skyline(ps)));
+  }
+}
+
+TEST(SfsOrder, DominatorsPrecedeWhatTheyDominate) {
+  common::Rng rng(5);
+  const PointSet ps =
+      data::with_duplicates(data::generate(Distribution::kAnticorrelated, 400, 3, 13), 100, rng);
+  const auto order = sfs_order(ps.size(), [&ps](std::size_t i) { return ps.point(i); });
+  std::vector<std::size_t> rank(ps.size());
+  for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    for (std::size_t j = 0; j < ps.size(); ++j) {
+      if (dominates(ps.point(i), ps.point(j))) {
+        EXPECT_LT(rank[i], rank[j]) << i << " vs " << j;
+      }
+    }
+  }
+  // A total order: equal points fall back to index order.
+  EXPECT_EQ(order, sfs_order(ps.size(), [&ps](std::size_t i) { return ps.point(i); }));
+
+  // Tied sums: (0, 1) dominates (1e-20, 1) and must come first from either
+  // input position.
+  for (const bool p_first : {true, false}) {
+    PointSet tie(2);
+    tie.push_back(std::vector<double>{p_first ? 1e-20 : 0.0, 1.0});
+    tie.push_back(std::vector<double>{p_first ? 0.0 : 1e-20, 1.0});
+    const auto tie_order = sfs_order(2, [&tie](std::size_t i) { return tie.point(i); });
+    EXPECT_EQ(tie.point(tie_order[0])[0], 0.0) << "p_first=" << p_first;
+  }
 }
 
 }  // namespace

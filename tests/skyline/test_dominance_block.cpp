@@ -223,6 +223,23 @@ TEST(TiledWindow, CornerPrefilterAnswersAreSound) {
   }
 }
 
+TEST(TiledWindow, FirstDominatorMatchesTheScalarScanForEveryPrefix) {
+  // Anticorrelated points with duplicates: dominators at every tile offset,
+  // partial last tiles, and equal points that must not count.
+  auto ps = data::generate(data::Distribution::kAnticorrelated, 60, 3, 53);
+  for (std::size_t i = 0; i < 10; ++i) ps.push_back(ps.point(i * 5), 1000 + i);
+  TiledWindow w(3);
+  for (std::size_t i = 0; i < ps.size(); ++i) w.push_back(ps, i);
+  for (std::size_t c = 0; c < ps.size(); ++c) {
+    for (std::size_t prefix = 0; prefix <= ps.size(); ++prefix) {
+      std::size_t expected = 0;
+      while (expected < prefix && !dominates(ps.point(expected), ps.point(c))) ++expected;
+      ASSERT_EQ(w.first_dominator(ps.point(c).data(), prefix), expected)
+          << "candidate " << c << " prefix " << prefix;
+    }
+  }
+}
+
 // ---- Counter invariance vs the pre-kernel scalar implementation ---------
 
 PointSet qws_like(std::size_t n, std::size_t dim, std::uint64_t seed) {

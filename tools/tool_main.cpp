@@ -118,7 +118,7 @@ core::MRSkylineConfig config_from(const common::CliArgs& args) {
   config.scheme = part::parse_scheme(args.get_string("scheme", "angular"));
   config.servers = static_cast<std::size_t>(args.get_int("servers", 8));
   config.num_partitions = static_cast<std::size_t>(args.get_int("partitions", 0));
-  config.merge_fan_in = static_cast<std::size_t>(args.get_int("merge-fan-in", 0));
+  config.parallel_merge = args.get_bool("parallel-merge", false);
   config.use_combiner = args.get_bool("combiner", false);
   config.salt_oversized_partitions = args.get_bool("salt", false);
   config.local_algorithm = skyline::parse_algorithm(args.get_string("algorithm", "bnl"));
@@ -310,7 +310,8 @@ int cmd_skyline(const common::CliArgs& args) {
   }
   if (result.plan.engaged) {
     std::cout << "planner: resolved auto -> " << part::to_string(result.plan.scheme) << " Np="
-              << result.plan.partitions << " fan=" << result.plan.merge_fan_in << " salt="
+              << result.plan.partitions << " merge="
+              << (result.plan.parallel_merge ? "parallel" : "single") << " salt="
               << (result.plan.salted ? "on" : "off") << (result.plan.fallback ? " (fallback)" : "")
               << ", " << result.plan.candidates << " candidates over " << result.plan.sample_points
               << " sample points in " << result.plan.planning_seconds * 1e3 << " ms\n";
@@ -331,7 +332,7 @@ int cmd_skyline(const common::CliArgs& args) {
     if (result.plan.engaged) {
       file << "\"plan\":{\"scheme\":\"" << part::to_string(result.plan.scheme)
            << "\",\"partitions\":" << result.plan.partitions
-           << ",\"merge_fan_in\":" << result.plan.merge_fan_in
+           << ",\"parallel_merge\":" << (result.plan.parallel_merge ? "true" : "false")
            << ",\"salted\":" << (result.plan.salted ? "true" : "false")
            << ",\"fallback\":" << (result.plan.fallback ? "true" : "false")
            << ",\"candidates\":" << result.plan.candidates
@@ -398,21 +399,22 @@ int cmd_plan(const common::CliArgs& args) {
     popts.sample_seed = static_cast<std::uint64_t>(args.get_int("sample-seed", 0x5a3e));
     const core::AdaptivePlan plan = core::AdaptivePlanner(popts).plan(*source, base);
 
-    common::Table table({"scheme", "Np", "fan", "salt", "pred_ms", "balance_cv", "prunable_%",
-                         "merge_in"});
+    common::Table table({"scheme", "Np", "salt", "pred_ms", "merge_ms", "balance_cv",
+                         "prunable_%", "merge_in"});
     for (const auto& c : plan.candidates) {
       table.add_row({part::to_string(c.scheme), common::Table::fmt(c.partitions),
-                     common::Table::fmt(c.merge_fan_in), c.salted ? "on" : "",
-                     common::Table::fmt(c.total_seconds() * 1e3, 3),
+                     c.salted ? "on" : "", common::Table::fmt(c.total_seconds() * 1e3, 3),
+                     common::Table::fmt(c.merge_seconds * 1e3, 3),
                      common::Table::fmt(c.balance_cv, 3),
                      common::Table::fmt(c.prunable_fraction * 100.0, 1),
                      common::Table::fmt(c.predicted_merge_input, 0)});
     }
     table.print(std::cout, "adaptive plan candidates (" + std::to_string(source->size()) +
-                               " points, " + std::to_string(plan.sample_points) + " sampled)");
+                               " points, " + std::to_string(plan.sample_points) +
+                               " sampled; every candidate ends in the parallel merge)");
     std::cout << "\nchosen: --scheme " << part::to_string(plan.config.scheme) << " --partitions "
               << plan.config.effective_partitions() << " --servers " << plan.config.servers;
-    if (plan.config.merge_fan_in > 0) std::cout << " --merge-fan-in " << plan.config.merge_fan_in;
+    if (plan.config.parallel_merge) std::cout << " --parallel-merge true";
     if (plan.config.salt_oversized_partitions) std::cout << " --salt true";
     std::cout << "\nplanning took " << plan.planning_seconds * 1e3 << " ms\n\nrationale:\n"
               << plan.rationale << "\n";
@@ -429,9 +431,7 @@ int cmd_plan(const common::CliArgs& args) {
             << " servers=" << in.servers << ":\n"
             << "  --scheme " << part::to_string(planned.config.scheme)
             << " --servers " << planned.config.servers;
-  if (planned.config.merge_fan_in > 0) {
-    std::cout << " --merge-fan-in " << planned.config.merge_fan_in;
-  }
+  if (planned.config.parallel_merge) std::cout << " --parallel-merge true";
   std::cout << "\n\nrationale:\n" << planned.rationale;
   return 0;
 }
