@@ -5,7 +5,8 @@
 #
 # Configures a dedicated build tree with MRSKY_SANITIZE=<kind>, builds the
 # test binary, and runs the mapreduce + core + thread-pool suites — the code
-# that exercises the parallel shuffle and the persistent pool. TSan is the
+# that exercises the parallel shuffle and the persistent pool — plus the
+# other threaded layers (serving, storage, CSV ingest). TSan is the
 # default: it is the check that keeps the concurrent shuffle honest.
 set -euo pipefail
 
@@ -65,6 +66,10 @@ FILTER+=':MaintainedSkyline*:*StreamSweep*:Subscription*:NotifyQueue*'
 # verify-once checksum flags are the TSan target), the DatasetSource seam,
 # and the resident-vs-streamed differential sweep with spill enabled.
 FILTER+=':BlockStore*:DatasetSource*:*OutOfCoreSweep*'
+# Chunk-parallel CSV ingest: read_csv_file parses its byte ranges on lanes
+# that write disjoint slices of one buffer (TSan), and the differential suite
+# drives every range count against the serial reference reader.
+FILTER+=':CsvIo*:PointFiles*:CsvDifferential*'
 
 if [[ "$KIND" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"

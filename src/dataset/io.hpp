@@ -4,13 +4,15 @@
 // Format: optional header line, then one row per point. If the first column
 // is named "id" (or `with_ids` is set on write), it carries the PointId;
 // otherwise ids are assigned sequentially on load.
+//
+// The reader never holds the whole file: each lane reads its byte range of a
+// regular file through one bounded window, and the parsed points land in one
+// buffer sized from a first counting pass (DESIGN.md decision 18).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
-#include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "src/dataset/parse_report.hpp"
 #include "src/dataset/point_set.hpp"
@@ -40,48 +42,36 @@ struct CsvReadOptions {
   bool require_non_negative = false;
 };
 
-/// Streaming row-at-a-time CSV reader — the ingest path that never holds the
-/// file in memory. Construction consumes lines up to and including the first
-/// data row (establishing header, id column and width; throws "CSV contains
-/// no data rows" if there are none); next() then yields one usable row per
-/// call. Strict/lenient semantics, defect messages and ParseReport accounting
-/// are identical to read_csv, which is now a thin loop over this class.
-class CsvRowReader {
- public:
-  CsvRowReader(std::istream& is, const CsvReadOptions& options = {},
-               ParseReport* report = nullptr);
-
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] bool has_id_column() const noexcept { return has_id_column_; }
-
-  /// Fills `coords` (size dim()) and `id` with the next usable row; false at
-  /// end of input. Strict mode throws on the first defective row; lenient
-  /// mode records the defect and keeps scanning.
-  bool next(PointId& id, std::span<double> coords);
-
- private:
-  bool parse_row(const std::vector<std::string>& cells, PointId& id,
-                 std::span<double> coords);
-
-  std::istream& is_;
-  CsvReadOptions options_;
-  ParseReport* report_;
-  ParseReport local_report_;
-  std::size_t dim_ = 0;
-  std::size_t width_ = 0;
-  bool has_id_column_ = false;
-  std::size_t data_row_ = 0;  ///< index of the next data row (for messages)
-  std::optional<std::vector<std::string>> pending_first_row_;
-};
-
 /// Reads a point set. Detects a header (any non-numeric first line) and an
-/// "id" first column automatically. Throws on ragged rows or parse errors
-/// unless `options.lenient`; with a non-null `report`, fills in what was
-/// accepted and dropped.
+/// "id" first column automatically; an id must be an integer in [0, 2^32).
+/// Throws on ragged rows or parse errors unless `options.lenient`; with a
+/// non-null `report`, fills in what was accepted and dropped. Row numbers in
+/// messages and in the report count non-blank lines after the header.
 [[nodiscard]] PointSet read_csv(std::istream& is, const CsvReadOptions& options = {},
                                 ParseReport* report = nullptr);
+
+/// read_csv on a file. A regular file is split into byte ranges of at least
+/// 1 MiB, up to one per hardware thread, and parsed in parallel; the result,
+/// the report and the strict-mode error are those of a serial read.
 [[nodiscard]] PointSet read_csv_file(const std::string& path,
                                      const CsvReadOptions& options = {},
                                      ParseReport* report = nullptr);
+
+namespace detail {
+
+/// How the CSV reader cuts its input. Internal: the public readers use the
+/// defaults; tests force tiny values so range and window edges fall inside
+/// short inputs.
+struct CsvChunking {
+  std::size_t ranges = 0;                       ///< byte ranges; 0 = by size and lanes
+  std::size_t window = std::size_t{256} << 10;  ///< read window per lane, bytes
+};
+
+[[nodiscard]] PointSet read_csv(std::istream& is, const CsvReadOptions& options,
+                                ParseReport* report, const CsvChunking& chunking);
+[[nodiscard]] PointSet read_csv_file(const std::string& path, const CsvReadOptions& options,
+                                     ParseReport* report, const CsvChunking& chunking);
+
+}  // namespace detail
 
 }  // namespace mrsky::data

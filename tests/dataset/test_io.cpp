@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/dataset/generators.hpp"
 
 namespace mrsky::data {
@@ -176,6 +181,89 @@ TEST(CsvIo, ParseReportCapsRecordedIssues) {
   EXPECT_EQ(ps.size(), 1u);
   EXPECT_EQ(report.rows_skipped, 50u);
   EXPECT_EQ(report.issues.size(), ParseReport::kMaxRecordedIssues);
+}
+
+// An id column holds PointIds: integers in [0, 2^32). Anything else is a
+// "bad id:" defect, never a silent cast.
+void expect_bad_id(const std::string& cell) {
+  const std::string input = "id,a\n1,2\n" + cell + ",3\n4,5\n";
+  std::stringstream strict(input);
+  try {
+    (void)read_csv(strict);
+    ADD_FAILURE() << "strict read accepted id " << cell;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("CSV row 1: bad id: " + cell), std::string::npos)
+        << e.what();
+  }
+  std::stringstream lenient(input);
+  CsvReadOptions options;
+  options.lenient = true;
+  ParseReport report;
+  const PointSet ps = read_csv(lenient, options, &report);
+  ASSERT_EQ(ps.size(), 2u);
+  EXPECT_EQ(ps.id(0), 1u);
+  EXPECT_EQ(ps.id(1), 4u);
+  EXPECT_EQ(report.rows_skipped, 1u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].row, 1u);
+  EXPECT_EQ(report.issues[0].reason, "bad id: " + cell);
+}
+
+TEST(CsvIo, NegativeIdIsBadId) { expect_bad_id("-1"); }
+
+TEST(CsvIo, IdOfTwoToThe32OrMoreIsBadId) {
+  expect_bad_id("4294967296");
+  expect_bad_id("5000000000");
+}
+
+TEST(CsvIo, NonIntegralIdIsBadId) { expect_bad_id("1.5"); }
+
+TEST(CsvIo, NanIdIsBadId) { expect_bad_id("nan"); }
+
+TEST(CsvIo, IntegralIdsInRangeAreKept) {
+  std::stringstream buffer("id,a\n0,1\n4294967295,2\n1e3,3\n7.0,4\n");
+  const PointSet ps = read_csv(buffer);
+  ASSERT_EQ(ps.size(), 4u);
+  EXPECT_EQ(ps.id(1), 4294967295u);
+  EXPECT_EQ(ps.id(2), 1000u);
+  EXPECT_EQ(ps.id(3), 7u);
+}
+
+TEST(CsvIo, WriterPinsSpecialValueBytes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const PointSet ps(1, {0.0, -0.0, 0.1, 1e-300, 5e-324, inf, -inf, nan, std::copysign(nan, -1.0),
+                        1.2345678901234568e17});
+  std::stringstream buffer;
+  write_csv(buffer, ps);
+  EXPECT_EQ(buffer.str(),
+            "id,attr0\n0,0\n1,-0\n2,0.10000000000000001\n3,1e-300\n"
+            "4,4.9406564584124654e-324\n5,inf\n6,-inf\n7,nan\n8,-nan\n"
+            "9,1.2345678901234568e+17\n");
+}
+
+TEST(CsvIo, WriterMatchesStreamFormattingAtEveryPrecision) {
+  // The writer's digits are those of `os << setprecision(p) << value`.
+  common::Rng rng(11);
+  std::vector<double> values;
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::ldexp(rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform_index(200)) - 100));
+  }
+  const PointSet ps(4, values);
+  for (const int precision : {1, 6, 9, 17, 25}) {
+    CsvWriteOptions options;
+    options.precision = precision;
+    std::stringstream got;
+    write_csv(got, ps, options);
+    std::stringstream want;
+    want << "id,attr0,attr1,attr2,attr3\n" << std::setprecision(precision);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      want << ps.id(i);
+      for (std::size_t a = 0; a < ps.dim(); ++a) want << "," << ps.at(i, a);
+      want << "\n";
+    }
+    EXPECT_EQ(got.str(), want.str()) << "precision " << precision;
+  }
 }
 
 }  // namespace
